@@ -40,7 +40,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,9 +49,11 @@
 #include "bench/bench_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oct/database.h"
 #include "server/daemon.h"
 #include "server/queue.h"
 #include "server/transport.h"
+#include "storage/engine.h"
 
 namespace papyrus::bench {
 namespace {
@@ -73,35 +74,30 @@ std::string FreshDir(const std::string& name) {
   return dir.string();
 }
 
-std::string ReadAll(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-/// Every byte of durable state for the named sessions: CURRENT pointers
-/// plus the files of the generation each one names.
-std::map<std::string, std::string> SnapshotBytes(
+/// Every durable section of the named sessions, `<session>/<section>` ->
+/// bytes. An in-process daemon on `root` opens each session, compacts it
+/// so the manifest carries the complete state wherever WAL commits and
+/// generation swaps happened to land, and reads the sections back
+/// through the manifest. Empty when any session cannot be read.
+std::map<std::string, std::string> SectionBytes(
     const std::string& root, const std::vector<std::string>& sessions) {
-  std::map<std::string, std::string> files;
+  std::map<std::string, std::string> sections;
+  server::DaemonOptions options;
+  options.root = root;
+  auto daemon = server::PapyrusDaemon::Start(options);
+  if (!daemon.ok()) return {};
   for (const std::string& name : sessions) {
-    fs::path dir = fs::path(root) / "sessions" / name;
-    std::string generation = ReadAll(dir / "CURRENT");
-    while (!generation.empty() && (generation.back() == '\n' ||
-                                   generation.back() == ' ')) {
-      generation.pop_back();
-    }
-    files[name + "/CURRENT"] = generation;
-    std::error_code ec;
-    for (const auto& entry :
-         fs::directory_iterator(dir / generation, ec)) {
-      if (!entry.is_regular_file()) continue;
-      files[name + "/" + entry.path().filename().string()] =
-          ReadAll(entry.path());
+    auto session = (*daemon)->OpenSession(name);
+    if (!session.ok() || !(*session)->Checkpoint().ok()) return {};
+    storage::SessionStore* store = (*session)->session().store();
+    for (const auto& [section, file] : store->CurrentSectionFiles()) {
+      auto text = store->ReadSection(section);
+      if (!text.ok()) return {};
+      sections[name + "/" + section] = *text;
     }
   }
-  return files;
+  if (!(*daemon)->Shutdown().ok()) return {};
+  return sections;
 }
 
 pid_t Spawn(const std::vector<std::string>& args) {
@@ -172,6 +168,7 @@ struct MultiProcessResult {
   int done = 0;
   int failed = 0;
   bool byte_identical = false;
+  int sections = 0;  // session sections the identity check compared
   bool ok = false;
   double wall_ms = 0.0;
 };
@@ -192,7 +189,8 @@ std::map<std::string, std::string> SerialReference(
   }
   if (!(*daemon)->Drain().ok()) return {};
   if (!(*daemon)->Shutdown().ok()) return {};
-  return SnapshotBytes(root, {"alpha", "beta"});
+  daemon->reset();
+  return SectionBytes(root, {"alpha", "beta"});
 }
 
 /// Sends every line, insisting on ok responses. Returns false on any
@@ -290,9 +288,11 @@ MultiProcessResult RunMultiProcess(const std::string& papyrusd) {
   r.done = static_cast<int>((*queue)->DoneCount());
   r.failed = static_cast<int>((*queue)->FailedCount());
 
-  auto bytes = SnapshotBytes(root, {"alpha", "beta"});
-  r.byte_identical = bytes == reference;
-  r.ok = r.done == r.tasks && r.failed == 0 && r.byte_identical;
+  auto bytes = SectionBytes(root, {"alpha", "beta"});
+  r.byte_identical = !bytes.empty() && bytes == reference;
+  r.sections = static_cast<int>(bytes.size());
+  r.ok = r.done == r.tasks && r.failed == 0 && r.byte_identical &&
+         r.sections >= 2 * oct::OctDatabase::kShardCount;
   return r;
 }
 
@@ -440,7 +440,8 @@ void WriteJson(const std::string& path, const MultiProcessResult& mp,
       << ", \"workers\": " << mp.workers << ", \"tasks\": " << mp.tasks
       << ", \"done\": " << mp.done << ", \"failed\": " << mp.failed
       << ", \"wall_ms\": " << mp.wall_ms << ", \"byte_identical\": "
-      << (mp.byte_identical ? "true" : "false") << "},\n";
+      << (mp.byte_identical ? "true" : "false")
+      << ", \"sections\": " << mp.sections << "},\n";
   out << "  \"scales\": [\n";
   for (size_t i = 0; i < scales.size(); ++i) {
     const ScaleResult& s = scales[i];
@@ -463,6 +464,10 @@ void WriteJson(const std::string& path, const MultiProcessResult& mp,
       << "    \"multiprocess/workers\": {\"min\": 2},\n"
       << "    \"multiprocess/failed\": {\"max\": 0},\n"
       << "    \"multiprocess/byte_identical\": {\"eq\": true},\n"
+      // At least every database shard of both sessions was compared: an
+      // identity check over nothing must not pass.
+      << "    \"multiprocess/sections\": {\"min\": "
+      << 2 * oct::OctDatabase::kShardCount << "},\n"
       << "    \"scales/*/failed\": {\"max\": 0},\n"
       << "    \"scales/*/starved_sessions\": {\"max\": 0},\n"
       << "    \"scales/*/tasks_per_sec\": {\"min\": 50}\n"
@@ -521,9 +526,9 @@ int main(int argc, char** argv) {
   } else {
     mp = papyrus::bench::RunMultiProcess(papyrusd);
     std::printf("  clients=%d workers=%d done=%d/%d failed=%d "
-                "byte-identical=%s wall=%.1fms\n\n",
+                "byte-identical=%s (%d sections) wall=%.1fms\n\n",
                 mp.clients, mp.workers, mp.done, mp.tasks, mp.failed,
-                mp.byte_identical ? "yes" : "NO", mp.wall_ms);
+                mp.byte_identical ? "yes" : "NO", mp.sections, mp.wall_ms);
     if (!mp.ok) ok = false;
   }
 

@@ -1,9 +1,6 @@
 #include "activity/persistence.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -12,56 +9,16 @@
 #include "base/macros.h"
 #include "base/thread_annotations.h"
 #include "base/strings.h"
+#include "storage/log.h"
 
 namespace papyrus::activity {
 
 namespace {
 
-/// Encoded-string fields carry a '~' prefix so empty strings survive
-/// whitespace-based field splitting.
-std::string EncField(const std::string& v) {
-  return "~" + PercentEncode(v);
-}
-
-std::string DecField(const std::string& v) {
-  std::string_view sv = v;
-  if (!sv.empty() && sv.front() == '~') sv.remove_prefix(1);
-  return PercentDecode(sv);
-}
-
 int64_t ParseI64(const std::string& s) {
   int64_t v = 0;
   (void)ParseInt64(s, &v);
   return v;
-}
-
-std::string FormatHex(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-bool ParseHex(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
-
-// The payload codec itself lives in oct/design_data (EncodePayloadText /
-// ParsePayloadFields) so the content-addressed store and the snapshot
-// format share one byte-exact encoding.
-void AppendPayload(const oct::DesignPayload& p, std::ostringstream* out) {
-  *out << oct::EncodePayloadText(p);
-}
-
-Result<oct::DesignPayload> ParsePayload(
-    const std::vector<std::string>& f, size_t at) {
-  return oct::ParsePayloadFields(f, at);
-}
-
-std::vector<std::string> SplitLines(const std::string& text) {
-  return Split(text, '\n');
 }
 
 void AppendObjectList(const char* tag, int owner,
@@ -76,7 +33,7 @@ void AppendObjectList(const char* tag, int owner,
 // --- format version 2: per-line checksums + stream trailer ---------------
 
 /// Wraps a stream of body lines into a v2 snapshot: `header`, then each
-/// body line with its ` !<hex>` FNV-1a checksum, then the
+/// body line framed by storage::ChecksumLine, then the
 /// `end <count> <hex>` trailer covering the concatenated bodies.
 std::string AssembleV2(const std::string& header,
                        const std::string& body_text) {
@@ -84,33 +41,15 @@ std::string AssembleV2(const std::string& header,
   out << header << '\n';
   std::string stream_text;
   int64_t count = 0;
-  for (const std::string& body : SplitLines(body_text)) {
+  for (const std::string& body : Split(body_text, '\n')) {
     if (body.empty()) continue;
-    out << body << " !" << FormatHex(Fnv1a(body)) << '\n';
+    out << storage::ChecksumLine(body) << '\n';
     stream_text += body;
     stream_text += '\n';
     ++count;
   }
   out << "end " << count << ' ' << FormatHex(Fnv1a(stream_text)) << '\n';
   return out.str();
-}
-
-/// Splits a v2 record line into its body and checksum and verifies them.
-Result<std::string> CheckLine(const std::string& line) {
-  size_t sp = line.rfind(' ');
-  if (sp == std::string::npos || sp + 2 >= line.size() ||
-      line[sp + 1] != '!') {
-    return Status::InvalidArgument("record line missing checksum");
-  }
-  uint64_t want = 0;
-  if (!ParseHex(line.substr(sp + 2), &want)) {
-    return Status::InvalidArgument("bad checksum field");
-  }
-  std::string body = line.substr(0, sp);
-  if (Fnv1a(body) != want) {
-    return Status::InvalidArgument("checksum mismatch");
-  }
-  return body;
 }
 
 /// Every '~'-prefixed (percent-encoded) field must decode strictly; a
@@ -158,7 +97,7 @@ V2Scan ScanV2(const std::vector<std::string>& lines) {
       drop_rest(i + 1);
       return scan;
     }
-    auto body = CheckLine(line);
+    auto body = storage::CheckChecksummedLine(line);
     std::vector<std::string> f;
     if (body.ok()) f = SplitWhitespace(*body);
     if (!body.ok() || f.empty() || !StrictFieldsOk(f)) {
@@ -172,6 +111,8 @@ V2Scan ScanV2(const std::vector<std::string>& lines) {
   return scan;  // ran off the end without a trailer: truncated
 }
 
+/// The version in a snapshot's `<kind> <version>` header. Version 1
+/// (no checksums) is no longer read.
 Result<int64_t> SnapshotVersion(const std::vector<std::string>& lines,
                                 const std::string& kind,
                                 int64_t max_version = 2) {
@@ -183,7 +124,7 @@ Result<int64_t> SnapshotVersion(const std::vector<std::string>& lines,
     return Status::InvalidArgument("not a " + kind + " snapshot");
   }
   int64_t version = ParseI64(head[1]);
-  if (version < 1 || version > max_version) {
+  if (version < 2 || version > max_version) {
     return Status::InvalidArgument("unsupported " + kind + " version " +
                                    head[1]);
   }
@@ -203,7 +144,9 @@ void AppendObjectLine(const oct::ObjectRecord& rec,
        << ' ' << EncField(rec.creator_tool) << ' ' << rec.created_micros
        << ' ' << rec.last_access_micros << ' ' << rec.size_bytes << ' '
        << rec.visible << ' ' << rec.reclaimed << ' ';
-  AppendPayload(rec.payload, out);
+  // The payload codec lives in oct/design_data so the content-addressed
+  // store and the snapshot format share one byte-exact encoding.
+  *out << oct::EncodePayloadText(rec.payload);
 }
 
 /// Applies one node-scoped thread-snapshot line (tags `node`, `parents`,
@@ -357,8 +300,39 @@ void AppendCacheEntryLines(int64_t index, const cache::CacheEntry& entry,
   }
 }
 
-/// Accumulates thread-snapshot record lines; shared by the v1 and v2
-/// readers, which differ only in how lines are vetted.
+/// Applies one cache-entry block line (`entry`/`ein`/`eout`/`ckey`) to
+/// `*entry`; an `entry` line starts the entry, so `*entry` must be empty
+/// then. Shared by the cache section reader and the WAL entry codec.
+Status ApplyCacheEntryLine(const std::vector<std::string>& f, bool ckey_ok,
+                           std::optional<cache::CacheEntry>* entry) {
+  if (f[0] == "entry" && f.size() >= 8 && !entry->has_value()) {
+    cache::CacheEntry e;
+    e.tool = DecField(f[2]);
+    e.tool_version = DecField(f[3]);
+    e.canonical_options = DecField(f[4]);
+    if (!ParseHex(f[5], &e.seed_salt)) {
+      return Status::InvalidArgument("bad cache salt: " + f[5]);
+    }
+    e.cost_micros = ParseI64(f[6]);
+    e.recorded_micros = ParseI64(f[7]);
+    *entry = std::move(e);
+  } else if (f[0] == "ein" && f.size() >= 4 && entry->has_value()) {
+    (*entry)->inputs.push_back(oct::ObjectId{
+        DecField(f[2]), static_cast<int>(ParseI64(f[3]))});
+  } else if (f[0] == "eout" && f.size() >= 4 && entry->has_value()) {
+    (*entry)->outputs.push_back(cache::CachedOutput{
+        oct::ObjectId{DecField(f[2]), static_cast<int>(ParseI64(f[3]))},
+        true});
+  } else if (f[0] == "ckey" && f.size() >= 3 && ckey_ok &&
+             entry->has_value()) {
+    (*entry)->content_key = DecField(f[2]);
+  } else {
+    return Status::InvalidArgument("bad cache line: " + Join(f, " "));
+  }
+  return Status::OK();
+}
+
+/// Accumulates thread-snapshot record lines.
 struct ThreadBuilder {
   std::unique_ptr<DesignThread> thread;
   NodeId cursor = kInitialPoint;
@@ -436,19 +410,8 @@ std::string SerializeDatabase(const oct::OctDatabase& db) {
 
 Status RestoreDatabaseInto(const std::string& text, oct::OctDatabase* db,
                            RestoreStats* stats) {
-  std::vector<std::string> lines = SplitLines(text);
-  PAPYRUS_ASSIGN_OR_RETURN(int64_t version,
-                           SnapshotVersion(lines, "papyrus-db"));
-  if (version == 1) {
-    // Legacy snapshots have no checksums: read strictly, no recovery.
-    for (size_t i = 1; i < lines.size(); ++i) {
-      std::vector<std::string> f = SplitWhitespace(lines[i]);
-      if (f.empty() || f[0] == "end") continue;
-      PAPYRUS_RETURN_IF_ERROR(ApplyDatabaseRecord(f, db));
-      if (stats != nullptr) ++stats->records_restored;
-    }
-    return Status::OK();
-  }
+  std::vector<std::string> lines = Split(text, '\n');
+  PAPYRUS_RETURN_IF_ERROR(SnapshotVersion(lines, "papyrus-db").status());
   V2Scan scan = ScanV2(lines);
   for (const std::vector<std::string>& f : scan.records) {
     // The line passed its checksum, so a parse failure here is a format
@@ -488,19 +451,10 @@ std::string SerializeThread(const DesignThread& thread) {
 
 Result<std::unique_ptr<DesignThread>> RestoreThread(
     const std::string& text, Clock* clock, RestoreStats* stats) {
-  std::vector<std::string> lines = SplitLines(text);
-  PAPYRUS_ASSIGN_OR_RETURN(int64_t version,
-                           SnapshotVersion(lines, "papyrus-thread"));
+  std::vector<std::string> lines = Split(text, '\n');
+  PAPYRUS_RETURN_IF_ERROR(
+      SnapshotVersion(lines, "papyrus-thread").status());
   ThreadBuilder builder;
-  if (version == 1) {
-    for (size_t i = 1; i < lines.size(); ++i) {
-      std::vector<std::string> f = SplitWhitespace(lines[i]);
-      if (f.empty() || f[0] == "end") continue;
-      PAPYRUS_RETURN_IF_ERROR(builder.Apply(f, clock));
-      if (stats != nullptr) ++stats->records_restored;
-    }
-    return builder.Finish();
-  }
   V2Scan scan = ScanV2(lines);
   for (const std::vector<std::string>& f : scan.records) {
     PAPYRUS_RETURN_IF_ERROR(builder.Apply(f, clock));
@@ -533,7 +487,7 @@ std::string SerializeDerivationCache(const cache::DerivationCache& cache) {
 Status RestoreDerivationCache(const std::string& text,
                               cache::DerivationCache* cache,
                               RestoreStats* stats) {
-  std::vector<std::string> lines = SplitLines(text);
+  std::vector<std::string> lines = Split(text, '\n');
   PAPYRUS_ASSIGN_OR_RETURN(
       int64_t version,
       SnapshotVersion(lines, "papyrus-cache", /*max_version=*/3));
@@ -548,35 +502,9 @@ Status RestoreDerivationCache(const std::string& text,
     }
   };
   for (const std::vector<std::string>& f : scan.records) {
-    if (f[0] == "entry" && f.size() >= 8) {
-      flush();
-      cache::CacheEntry entry;
-      entry.tool = DecField(f[2]);
-      entry.tool_version = DecField(f[3]);
-      entry.canonical_options = DecField(f[4]);
-      uint64_t salt = 0;
-      if (!ParseHex(f[5], &salt)) {
-        return Status::InvalidArgument("bad cache salt: " + f[5]);
-      }
-      entry.seed_salt = salt;
-      entry.cost_micros = ParseI64(f[6]);
-      entry.recorded_micros = ParseI64(f[7]);
-      pending = std::move(entry);
-    } else if (f[0] == "ein" && f.size() >= 4 && pending.has_value()) {
-      pending->inputs.push_back(
-          oct::ObjectId{DecField(f[2]),
-                        static_cast<int>(ParseI64(f[3]))});
-    } else if (f[0] == "eout" && f.size() >= 4 && pending.has_value()) {
-      pending->outputs.push_back(cache::CachedOutput{
-          oct::ObjectId{DecField(f[2]),
-                        static_cast<int>(ParseI64(f[3]))},
-          true});
-    } else if (f[0] == "ckey" && f.size() >= 3 && version >= 3 &&
-               pending.has_value()) {
-      pending->content_key = DecField(f[2]);
-    } else {
-      return Status::InvalidArgument("bad cache line: " + Join(f, " "));
-    }
+    if (f[0] == "entry") flush();
+    PAPYRUS_RETURN_IF_ERROR(
+        ApplyCacheEntryLine(f, /*ckey_ok=*/version >= 3, &pending));
   }
   flush();
   if (stats != nullptr) {
@@ -609,7 +537,7 @@ Result<oct::ObjectRecord> ParseObjectRecord(
   rec.size_bytes = ParseI64(f[6]);
   rec.visible = f[7] == "1";
   rec.reclaimed = f[8] == "1";
-  PAPYRUS_ASSIGN_OR_RETURN(rec.payload, ParsePayload(f, 9));
+  PAPYRUS_ASSIGN_OR_RETURN(rec.payload, oct::ParsePayloadFields(f, 9));
   return rec;
 }
 
@@ -638,7 +566,7 @@ std::string EncodeNodeBlock(const HistoryNode& node) {
 Status ApplyNodeBlock(const std::string& block, DesignThread* thread) {
   std::map<NodeId, HistoryNode> nodes;
   HistoryNode* cur = nullptr;
-  for (const std::string& line : SplitLines(block)) {
+  for (const std::string& line : Split(block, '\n')) {
     std::vector<std::string> f = SplitWhitespace(line);
     if (f.empty()) continue;
     PAPYRUS_RETURN_IF_ERROR(ApplyNodeTag(f, &nodes, &cur));
@@ -657,39 +585,14 @@ std::string EncodeCacheEntry(const cache::CacheEntry& entry) {
 
 Result<cache::CacheEntry> DecodeCacheEntry(const std::string& block) {
   std::optional<cache::CacheEntry> entry;
-  for (const std::string& line : SplitLines(block)) {
+  for (const std::string& line : Split(block, '\n')) {
     std::vector<std::string> f = SplitWhitespace(line);
     if (f.empty()) continue;
-    if (f[0] == "entry" && f.size() >= 8) {
-      if (entry.has_value()) {
-        return Status::InvalidArgument(
-            "cache-entry block must carry exactly one entry");
-      }
-      cache::CacheEntry e;
-      e.tool = DecField(f[2]);
-      e.tool_version = DecField(f[3]);
-      e.canonical_options = DecField(f[4]);
-      uint64_t salt = 0;
-      if (!ParseHex(f[5], &salt)) {
-        return Status::InvalidArgument("bad cache salt: " + f[5]);
-      }
-      e.seed_salt = salt;
-      e.cost_micros = ParseI64(f[6]);
-      e.recorded_micros = ParseI64(f[7]);
-      entry = std::move(e);
-    } else if (f[0] == "ein" && f.size() >= 4 && entry.has_value()) {
-      entry->inputs.push_back(oct::ObjectId{
-          DecField(f[2]), static_cast<int>(ParseI64(f[3]))});
-    } else if (f[0] == "eout" && f.size() >= 4 && entry.has_value()) {
-      entry->outputs.push_back(cache::CachedOutput{
-          oct::ObjectId{DecField(f[2]),
-                        static_cast<int>(ParseI64(f[3]))},
-          true});
-    } else if (f[0] == "ckey" && f.size() >= 3 && entry.has_value()) {
-      entry->content_key = DecField(f[2]);
-    } else {
-      return Status::InvalidArgument("bad cache line: " + Join(f, " "));
+    if (f[0] == "entry" && entry.has_value()) {
+      return Status::InvalidArgument(
+          "cache-entry block must carry exactly one entry");
     }
+    PAPYRUS_RETURN_IF_ERROR(ApplyCacheEntryLine(f, /*ckey_ok=*/true, &entry));
   }
   if (!entry.has_value()) {
     return Status::InvalidArgument(

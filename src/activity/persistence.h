@@ -23,14 +23,13 @@ namespace papyrus::activity {
 /// trip. Thread-state caches are not persisted (they are recomputed on
 /// demand).
 ///
-/// Format version 2 (the current writer) makes snapshots
-/// corruption-tolerant: every record line carries a trailing ` !<hex>`
-/// FNV-1a checksum of its body, and the file ends with a
-/// `end <count> <hex>` trailer covering the whole record stream. Restore
-/// recovers the longest valid prefix of a damaged snapshot — a truncated
-/// tail or a checksummed line that no longer matches drops that line and
-/// everything after it, reported through `RestoreStats`. Version-1
-/// snapshots (no checksums) remain readable.
+/// Format version 2 makes snapshots corruption-tolerant: every record
+/// line is framed by storage::ChecksumLine (a trailing ` !<hex>` FNV-1a
+/// checksum of its body), and the file ends with a `end <count> <hex>`
+/// trailer covering the whole record stream. Restore recovers the longest
+/// valid prefix of a damaged snapshot — a truncated tail or a checksummed
+/// line that no longer matches drops that line and everything after it,
+/// reported through `RestoreStats`. Version 1 (no checksums) is refused.
 
 /// What restore had to do to a (possibly damaged) snapshot.
 struct RestoreStats {

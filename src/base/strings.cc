@@ -1,6 +1,8 @@
 #include "base/strings.h"
 
 #include <cctype>
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 
 namespace papyrus {
@@ -74,6 +76,28 @@ bool ParseInt64(std::string_view s, int64_t* out) {
   return true;
 }
 
+bool ParseUint64(std::string_view s, uint64_t* out) {
+  if (s.empty()) return false;
+  std::string buf(s);
+  char* end = nullptr;
+  *out = std::strtoull(buf.c_str(), &end, 10);
+  return end == buf.c_str() + buf.size();
+}
+
+std::string FormatHex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+  return buf;
+}
+
+bool ParseHex(std::string_view s, uint64_t* out) {
+  if (s.empty()) return false;
+  std::string buf(s);
+  char* end = nullptr;
+  *out = std::strtoull(buf.c_str(), &end, 16);
+  return end == buf.c_str() + buf.size();
+}
+
 std::string PercentEncode(std::string_view s) {
   static const char* kHex = "0123456789ABCDEF";
   std::string out;
@@ -140,6 +164,13 @@ Result<std::string> PercentDecodeStrict(std::string_view s) {
     i += 2;
   }
   return out;
+}
+
+std::string EncField(std::string_view s) { return "~" + PercentEncode(s); }
+
+std::string DecField(std::string_view token) {
+  if (!token.empty() && token.front() == '~') token.remove_prefix(1);
+  return PercentDecode(token);
 }
 
 uint64_t Fnv1a(std::string_view s) {

@@ -29,6 +29,16 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Parses a base-10 signed integer; rejects trailing garbage.
 bool ParseInt64(std::string_view s, int64_t* out);
 
+/// Parses a base-10 unsigned integer; rejects trailing garbage.
+bool ParseUint64(std::string_view s, uint64_t* out);
+
+/// `v` as 16 lowercase hex digits, zero-padded.
+std::string FormatHex(uint64_t v);
+
+/// Parses hex digits of any width (up to 64 bits); rejects trailing
+/// garbage.
+bool ParseHex(std::string_view s, uint64_t* out);
+
 /// 64-bit FNV-1a hash; used by the mock CAD tools for deterministic
 /// pseudo-random transformations.
 uint64_t Fnv1a(std::string_view s);
@@ -45,6 +55,15 @@ std::string PercentDecode(std::string_view s);
 /// uses this so corrupted snapshots are detected rather than silently
 /// mis-decoded.
 Result<std::string> PercentDecodeStrict(std::string_view s);
+
+/// A string field of the line-oriented persistence formats:
+/// `~<percent-encoded>`, so an empty value still occupies a
+/// whitespace-delimited token (a bare `~`).
+std::string EncField(std::string_view s);
+
+/// Inverse of EncField; a token without the `~` prefix is
+/// percent-decoded as is.
+std::string DecField(std::string_view token);
 
 }  // namespace papyrus
 

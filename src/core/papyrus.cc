@@ -1,32 +1,15 @@
 #include "core/papyrus.h"
 
-#include <algorithm>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "activity/persistence.h"
 #include "base/macros.h"
 #include "base/strings.h"
 #include "base/thread_annotations.h"
-#include "storage/atomic_file.h"
 
 namespace papyrus {
 
 namespace {
-
-// WAL record fields that may contain whitespace (names, whole serialized
-// node/entry blocks) ride as '~'-prefixed percent-encoded tokens, the
-// same convention the snapshot formats use.
-std::string WalField(const std::string& v) {
-  return "~" + PercentEncode(v);
-}
-
-std::string WalUnfield(const std::string& v) {
-  std::string_view sv = v;
-  if (!sv.empty() && sv.front() == '~') sv.remove_prefix(1);
-  return PercentDecode(sv);
-}
 
 std::string DbSectionName(int shard) {
   return "db/" + std::to_string(shard);
@@ -161,131 +144,6 @@ Status Papyrus::MoveCursor(int thread_id, activity::NodeId point,
   return activity_->MoveCursor(thread_id, point, erase);
 }
 
-Status Papyrus::SaveSession(const std::string& directory) {
-  trace_.Begin(obs::kSessionPid, 0, "snapshot_save", "snapshot",
-               {obs::TraceArg::Str("directory", directory)});
-  Status st = SaveSessionImpl(directory);
-  trace_.End(obs::kSessionPid, 0, {obs::TraceArg::Bool("ok", st.ok())});
-  if (st.ok()) {
-    metrics_.FindOrCreateCounter(obs::kSnapshotSaves)->Increment();
-  }
-  return st;
-}
-
-Status Papyrus::SaveSessionImpl(const std::string& directory) {
-  base::AssertEngineThread("Papyrus::SaveSessionImpl");
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) {
-    return Status::Internal("cannot create " + directory + ": " +
-                            ec.message());
-  }
-  // Write-to-temp + fsync + atomic rename (storage::AtomicWriteFile): a
-  // crash mid-save leaves either the old snapshot or the new one, never a
-  // torn file.
-  auto write_file = [&](const std::string& name,
-                        const std::string& content) -> Status {
-    return storage::AtomicWriteFile(
-        (std::filesystem::path(directory) / name).string(), content);
-  };
-  PAPYRUS_RETURN_IF_ERROR(
-      write_file("database.pdb", activity::SerializeDatabase(*db_)));
-  PAPYRUS_RETURN_IF_ERROR(write_file(
-      "cache.pdc", activity::SerializeDerivationCache(*step_cache_)));
-  for (int id : activity_->ThreadIds()) {
-    auto thread = activity_->GetThread(id);
-    if (!thread.ok()) continue;
-    PAPYRUS_RETURN_IF_ERROR(
-        write_file("thread_" + std::to_string(id) + ".pth",
-                   activity::SerializeThread(**thread)));
-  }
-  return Status::OK();
-}
-
-Status Papyrus::LoadSession(const std::string& directory) {
-  trace_.Begin(obs::kSessionPid, 0, "snapshot_load", "snapshot",
-               {obs::TraceArg::Str("directory", directory)});
-  Status st = LoadSessionImpl(directory);
-  trace_.End(obs::kSessionPid, 0, {obs::TraceArg::Bool("ok", st.ok())});
-  if (st.ok()) {
-    metrics_.FindOrCreateCounter(obs::kSnapshotLoads)->Increment();
-  }
-  return st;
-}
-
-Status Papyrus::LoadSessionImpl(const std::string& directory) {
-  base::AssertEngineThread("Papyrus::LoadSessionImpl");
-  if (db_->TotalVersionCount() != 0 || !activity_->ThreadIds().empty()) {
-    return Status::FailedPrecondition(
-        "LoadSession requires a fresh session");
-  }
-  auto read_file = [&](const std::filesystem::path& path)
-      -> Result<std::string> {
-    std::ifstream in(path);
-    if (!in) return Status::NotFound("cannot read " + path.string());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
-  last_restore_stats_ = activity::RestoreStats();
-  auto accumulate = [this](const activity::RestoreStats& s) {
-    last_restore_stats_.records_restored += s.records_restored;
-    last_restore_stats_.records_dropped += s.records_dropped;
-    last_restore_stats_.truncated |= s.truncated;
-  };
-  PAPYRUS_ASSIGN_OR_RETURN(
-      std::string db_text,
-      read_file(std::filesystem::path(directory) / "database.pdb"));
-  activity::RestoreStats db_stats;
-  PAPYRUS_ASSIGN_OR_RETURN(
-      auto restored_db,
-      activity::RestoreDatabase(db_text, &clock_, &db_stats));
-  accumulate(db_stats);
-  // Copy records into the session's own database so every subsystem keeps
-  // its pointer. ForEach yields each name's versions in order, which is
-  // what RestoreRecord requires.
-  Status copy_status;
-  restored_db->ForEach([&](const oct::ObjectRecord& rec) {
-    if (!copy_status.ok()) return;
-    copy_status = db_->RestoreRecord(rec);
-  });
-  PAPYRUS_RETURN_IF_ERROR(copy_status);
-
-  std::error_code ec;
-  std::vector<std::filesystem::path> thread_files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(directory, ec)) {
-    if (entry.path().extension() == ".pth") {
-      thread_files.push_back(entry.path());
-    }
-  }
-  if (ec) {
-    return Status::NotFound("cannot read session directory " + directory);
-  }
-  std::sort(thread_files.begin(), thread_files.end());
-  for (const auto& path : thread_files) {
-    PAPYRUS_ASSIGN_OR_RETURN(std::string text, read_file(path));
-    activity::RestoreStats thread_stats;
-    PAPYRUS_ASSIGN_OR_RETURN(
-        auto thread,
-        activity::RestoreThread(text, &clock_, &thread_stats));
-    accumulate(thread_stats);
-    PAPYRUS_RETURN_IF_ERROR(activity_->AdoptThread(std::move(thread)));
-  }
-  // The derivation cache is optional in a session directory (pre-cache
-  // snapshots restore fine without it) but must come after the database:
-  // restoring entries re-validates and re-pins their output versions.
-  auto cache_text =
-      read_file(std::filesystem::path(directory) / "cache.pdc");
-  if (cache_text.ok()) {
-    activity::RestoreStats cache_stats;
-    PAPYRUS_RETURN_IF_ERROR(activity::RestoreDerivationCache(
-        *cache_text, step_cache_.get(), &cache_stats));
-    accumulate(cache_stats);
-  }
-  return Status::OK();
-}
-
 Status Papyrus::OpenStorage(const std::string& directory) {
   base::AssertEngineThread("Papyrus::OpenStorage");
   trace_.Begin(obs::kSessionPid, 0, "storage_open", "snapshot",
@@ -308,31 +166,7 @@ Status Papyrus::OpenStorageImpl(const std::string& directory) {
                            store->Open(directory));
   store_ = std::move(store);
   last_restore_stats_ = activity::RestoreStats();
-  using Layout = storage::SessionStore::Layout;
-  switch (opened.layout) {
-    case Layout::kEmpty:
-      break;
-    case Layout::kEngine:
-      PAPYRUS_RETURN_IF_ERROR(RestoreEngineSections(opened.sections));
-      break;
-    case Layout::kLegacySnapDir:
-    case Layout::kLegacyFlat:
-      // One-time migration: the whole-file snapshot loads through the
-      // legacy reader; the next SaveGeneration writes every section (none
-      // are in the — empty — engine manifest) and the directory is native
-      // from then on.
-      PAPYRUS_RETURN_IF_ERROR(LoadSessionImpl(opened.legacy_dir));
-      if (!state_hooks_.legacy_file.empty() && state_hooks_.restore) {
-        std::ifstream in(std::filesystem::path(opened.legacy_dir) /
-                         state_hooks_.legacy_file);
-        if (in) {
-          std::stringstream buffer;
-          buffer << in.rdbuf();
-          PAPYRUS_RETURN_IF_ERROR(state_hooks_.restore(buffer.str()));
-        }
-      }
-      break;
-  }
+  PAPYRUS_RETURN_IF_ERROR(RestoreEngineSections(opened.sections));
   // Baselines are captured *before* the WAL tail replays so the sections
   // it touches register as dirty and compact into the next generation —
   // a stale section file is never carried past a WAL base that covers
@@ -357,7 +191,7 @@ Status Papyrus::OpenStorageImpl(const std::string& directory) {
     metrics_.FindOrCreateCounter(obs::kWalTruncatedBytes)
         ->Increment(opened.wal_dropped_bytes);
   }
-  if (opened.layout != Layout::kEmpty) {
+  if (opened.layout != storage::SessionStore::Layout::kEmpty) {
     metrics_.FindOrCreateCounter(obs::kSnapshotLoads)->Increment();
   }
   SyncStorageMetrics();
@@ -423,19 +257,19 @@ Status Papyrus::ApplyWalRecord(const std::string& body) {
   }
   if (tag == "cput" && f.size() >= 2) {
     PAPYRUS_ASSIGN_OR_RETURN(cache::CacheEntry entry,
-                             activity::DecodeCacheEntry(WalUnfield(f[1])));
+                             activity::DecodeCacheEntry(DecField(f[1])));
     // Like snapshot restore, entries whose output versions did not
     // survive are skipped — they could only have missed.
     (void)step_cache_->Restore(std::move(entry));
     return Status::OK();
   }
   if (tag == "cdel" && f.size() >= 2) {
-    step_cache_->ForgetEntry(WalUnfield(f[1]));
+    step_cache_->ForgetEntry(DecField(f[1]));
     return Status::OK();
   }
   if (tag == "thrnew" && f.size() >= 4) {
     auto thread = std::make_unique<activity::DesignThread>(
-        ParseIntField(f[1]), WalUnfield(f[2]), &clock_);
+        ParseIntField(f[1]), DecField(f[2]), &clock_);
     thread->set_cache_interval(ParseIntField(f[3]));
     return activity_->AdoptThread(std::move(thread));
   }
@@ -448,14 +282,14 @@ Status Papyrus::ApplyWalRecord(const std::string& body) {
     PAPYRUS_ASSIGN_OR_RETURN(activity::DesignThread * thread,
                              activity_->GetThread(ParseIntField(f[1])));
     if (tag == "thr") {
-      return activity::ApplyNodeBlock(WalUnfield(f[2]), thread);
+      return activity::ApplyNodeBlock(DecField(f[2]), thread);
     }
     if (tag == "thrdel") {
       return thread->ForgetNode(ParseIntField(f[2]));
     }
     if (tag == "thrchk" && f.size() >= 4) {
       thread->CheckIn(
-          oct::ObjectId{WalUnfield(f[2]), ParseIntField(f[3])});
+          oct::ObjectId{DecField(f[2]), ParseIntField(f[3])});
       return Status::OK();
     }
     if (tag == "thrmeta" && f.size() >= 5) {
@@ -494,14 +328,14 @@ Status Papyrus::CommitWal() {
     const std::string tid = std::to_string(id);
     if (known_threads_.count(id) == 0) {
       // First commit of a new thread: journal it whole.
-      store_->AppendWal("thrnew " + tid + " " + WalField(t->name()) + " " +
+      store_->AppendWal("thrnew " + tid + " " + EncField(t->name()) + " " +
                         std::to_string(t->cache_interval()));
       for (const auto& [node_id, node] : t->nodes()) {
         store_->AppendWal("thr " + tid + " " +
-                          WalField(activity::EncodeNodeBlock(node)));
+                          EncField(activity::EncodeNodeBlock(node)));
       }
       for (const oct::ObjectId& obj : t->checkins()) {
-        store_->AppendWal("thrchk " + tid + " " + WalField(obj.name) + " " +
+        store_->AppendWal("thrchk " + tid + " " + EncField(obj.name) + " " +
                           std::to_string(obj.version));
       }
       store_->AppendWal("thrmeta " + tid + " " +
@@ -521,10 +355,10 @@ Status Papyrus::CommitWal() {
       auto node = t->GetNode(node_id);
       if (!node.ok()) continue;
       store_->AppendWal("thr " + tid + " " +
-                        WalField(activity::EncodeNodeBlock(**node)));
+                        EncField(activity::EncodeNodeBlock(**node)));
     }
     for (const oct::ObjectId& obj : dirt.checkins) {
-      store_->AppendWal("thrchk " + tid + " " + WalField(obj.name) + " " +
+      store_->AppendWal("thrchk " + tid + " " + EncField(obj.name) + " " +
                         std::to_string(obj.version));
     }
     if (dirt.meta) {
@@ -537,12 +371,12 @@ Status Papyrus::CommitWal() {
   }
   step_cache_->DrainWalDirt(
       [&](const std::string& key) {
-        store_->AppendWal("cdel " + WalField(key));
+        store_->AppendWal("cdel " + EncField(key));
       },
       [&](const std::string& key, const cache::CacheEntry& entry) {
         (void)key;  // replay recomputes it from the entry's components
         store_->AppendWal("cput " +
-                          WalField(activity::EncodeCacheEntry(entry)));
+                          EncField(activity::EncodeCacheEntry(entry)));
       });
   if (state_hooks_.drain) {
     for (const std::string& state_body : state_hooks_.drain()) {
@@ -578,7 +412,7 @@ Status Papyrus::SaveGenerationImpl() {
   std::vector<std::string> live;
   // A section is dirty when its mutation sequence moved since the last
   // generation, or when the current manifest does not carry it at all
-  // (first generation, legacy migration, WAL-replayed sections).
+  // (first generation, WAL-replayed sections).
   for (int i = 0; i < oct::OctDatabase::kShardCount; ++i) {
     const std::string name = DbSectionName(i);
     live.push_back(name);

@@ -126,32 +126,19 @@ class Papyrus {
                                       oct::DesignPayload payload);
 
   // --- session persistence (§5.3 crash recovery) --------------------------
+  //
+  // The storage engine is the one way a session is saved: mutations
+  // journal into a write-ahead log (CommitWal, a group commit per task
+  // batch) and SaveGeneration periodically compacts only the dirtied
+  // sections behind a manifest swap. Recovery replays manifest sections +
+  // the WAL tail and is byte-identical to the pre-crash state at any
+  // crash point.
 
-  /// Writes the database and every design thread to `directory`
-  /// (database.pdb + thread_<id>.pth).
-  Status SaveSession(const std::string& directory);
-
-  /// Restores a previously saved session into this one. Requires a fresh
-  /// session (empty database, no threads). Metadata inference state is
-  /// not persisted; re-deriving it is a matter of re-observing history
-  /// records if needed. Damaged snapshot files restore their longest
-  /// valid prefix; `last_restore_stats()` reports what was dropped.
-  Status LoadSession(const std::string& directory);
-
-  /// Aggregate recovery report of the most recent LoadSession or
-  /// OpenStorage, summed across the database and every thread file.
+  /// Aggregate recovery report of the most recent OpenStorage, summed
+  /// across the database shards, every thread section and the WAL tail.
   const activity::RestoreStats& last_restore_stats() const {
     return last_restore_stats_;
   }
-
-  // --- storage engine (WAL + compacted delta snapshots) -------------------
-  //
-  // The successor of SaveSession/LoadSession: instead of rewriting every
-  // file per snapshot, mutations journal into a write-ahead log
-  // (CommitWal, a group commit per task batch) and SaveGeneration
-  // periodically compacts only the dirtied sections behind a manifest
-  // swap. Recovery replays manifest sections + the WAL tail and is
-  // byte-identical to the pre-crash state at any crash point.
 
   /// Extension point for an embedding layer (papyrusd's ManagedSession)
   /// to ride the session's durability train: its state journals into the
@@ -168,21 +155,16 @@ class Papyrus {
     std::function<Status(const std::string&)> replay;
     /// Restores the full section text.
     std::function<Status(const std::string&)> restore;
-    /// File name of the embedder's state inside a *legacy* whole-file
-    /// snapshot directory (e.g. "state.pss"); when present there it is
-    /// fed to `restore` during the one-time migration.
-    std::string legacy_file;
   };
   void set_state_hooks(StateHooks hooks) {
     state_hooks_ = std::move(hooks);
   }
 
   /// Opens (creating if needed) the storage engine on `directory` and
-  /// restores whatever it holds. Requires a fresh session. Legacy layouts
-  /// (PR 1 flat database.pdb, PR 6 snap.<N> whole-file snapshot dirs)
-  /// load transparently and migrate to the engine layout at the next
-  /// SaveGeneration. A torn WAL tail recovers its longest valid prefix
-  /// (reported through last_restore_stats()).
+  /// restores whatever it holds. Requires a fresh session. A directory
+  /// the engine did not write is refused (see SessionStore::Open). A torn
+  /// WAL tail recovers its longest valid prefix (reported through
+  /// last_restore_stats()).
   Status OpenStorage(const std::string& directory);
 
   bool storage_open() const { return store_ != nullptr; }
@@ -247,8 +229,6 @@ class Papyrus {
   obs::Observability observability() { return {&trace_, &metrics_}; }
 
  private:
-  Status SaveSessionImpl(const std::string& directory);
-  Status LoadSessionImpl(const std::string& directory);
   Status OpenStorageImpl(const std::string& directory);
   Status SaveGenerationImpl();
   Status RestoreEngineSections(

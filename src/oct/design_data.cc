@@ -95,18 +95,6 @@ DesignDomain PayloadDomain(const DesignPayload& p) {
 
 namespace {
 
-// The codec helpers mirror activity/persistence.cc conventions exactly:
-// snapshot payload fields and CAS blob bytes must stay byte-identical.
-std::string EncField(const std::string& v) {
-  return "~" + PercentEncode(v);
-}
-
-std::string DecField(const std::string& v) {
-  std::string_view sv = v;
-  if (!sv.empty() && sv.front() == '~') sv.remove_prefix(1);
-  return PercentDecode(sv);
-}
-
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "base/macros.h"
 #include "base/thread_annotations.h"
 #include "base/strings.h"
 #include "storage/atomic_file.h"
+#include "storage/log.h"
 
 namespace papyrus::server {
 
@@ -18,39 +20,6 @@ constexpr char kCheckpointFile[] = "queue.pjc";
 constexpr char kLockFile[] = "queue.lock";
 constexpr char kEpochFile[] = "queue.pjg";
 constexpr char kCheckpointHeader[] = "papyrus-queue v1";
-
-std::string HexHash(std::string_view body) {
-  std::ostringstream out;
-  out << std::hex << Fnv1a(body);
-  return out.str();
-}
-
-/// Appends the ` !<hex>` line checksum the v2 snapshot format uses.
-std::string Stamp(const std::string& body) {
-  return body + " !" + HexHash(body);
-}
-
-/// Validates and strips a line checksum; false on damage.
-bool Unstamp(const std::string& line, std::string* body) {
-  size_t mark = line.rfind(" !");
-  if (mark == std::string::npos) return false;
-  *body = line.substr(0, mark);
-  return HexHash(*body) == line.substr(mark + 2);
-}
-
-/// String fields ride as `~<percent-encoded>` so an empty value still
-/// occupies a whitespace-delimited token (bare `~`), same as the v2
-/// snapshot format.
-std::string EncField(const std::string& s) {
-  return "~" + PercentEncode(s);
-}
-
-std::string DecField(const std::string& token) {
-  if (!token.empty() && token[0] == '~') {
-    return PercentDecode(token.substr(1));
-  }
-  return PercentDecode(token);
-}
 
 const char* StateCode(TaskState s) {
   switch (s) {
@@ -160,12 +129,14 @@ Result<std::unique_ptr<PersistentQueue>> PersistentQueue::Open(
                              storage::FileLock::Acquire(queue->lock_path_));
     queue->epoch_seen_ = ReadEpochFile(queue->EpochPath());
     PAPYRUS_RETURN_IF_ERROR(queue->LoadCheckpoint());
-    PAPYRUS_RETURN_IF_ERROR(queue->ReplayJournalTail());
+    queue->ReplayJournalTail();
+    PAPYRUS_RETURN_IF_ERROR(
+        queue->journal_.Open(queue->journal_path_, queue->journal_offset_));
     queue->UpdateDepthGauge();
     return queue;
   }
   PAPYRUS_RETURN_IF_ERROR(queue->LoadCheckpoint());
-  PAPYRUS_RETURN_IF_ERROR(queue->ReplayJournalTail());
+  queue->ReplayJournalTail();
   // Recovery invariant: a claim that was never resolved belongs to a
   // dead incarnation. Its lease holder cannot come back (owners are
   // per-incarnation tokens), so the task returns to pending for
@@ -181,11 +152,8 @@ Result<std::unique_ptr<PersistentQueue>> PersistentQueue::Open(
       if (queue->c_recovered_ != nullptr) queue->c_recovered_->Increment();
     }
   }
-  queue->journal_.open(queue->journal_path_,
-                       std::ios::app | std::ios::binary);
-  if (!queue->journal_) {
-    return Status::Internal("cannot open journal " + queue->journal_path_);
-  }
+  PAPYRUS_RETURN_IF_ERROR(
+      queue->journal_.Open(queue->journal_path_, queue->journal_offset_));
   queue->UpdateDepthGauge();
   return queue;
 }
@@ -195,95 +163,86 @@ std::string PersistentQueue::EpochPath() const {
 }
 
 Status PersistentQueue::LoadCheckpoint() {
-  std::ifstream in(checkpoint_path_, std::ios::binary);
-  if (!in) return Status::OK();  // fresh queue
-  std::string line;
-  if (!std::getline(in, line) || line != kCheckpointHeader) {
-    return Status::Internal("bad queue checkpoint header in " +
-                            checkpoint_path_);
+  std::vector<std::string> bodies;
+  PAPYRUS_RETURN_IF_ERROR(
+      storage::Log::ReadCheckpoint(checkpoint_path_, kCheckpointHeader,
+                                   storage::Log::Collect(&bodies)));
+  for (const std::string& body : bodies) {
+    ApplyCheckpointLine(SplitWhitespace(body));
   }
-  while (std::getline(in, line)) {
-    std::string body;
-    if (!Unstamp(line, &body)) break;  // damaged tail: keep the prefix
-    std::vector<std::string> f = SplitWhitespace(body);
-    if (f.empty()) continue;
-    if (f[0] == "now" && f.size() == 2) {
-      int64_t now = 0;
-      if (ParseInt64(f[1], &now) && clock_->NowMicros() < now) {
-        clock_->SetMicros(now);
-      }
-    } else if (f[0] == "next" && f.size() == 2) {
-      int64_t next = 0;
-      if (ParseInt64(f[1], &next)) next_id_ = std::max(next_id_, next);
-    } else if (f[0] == "t" && f.size() == 10) {
-      QueueTask task;
-      int64_t attempts = 0;
-      if (!ParseInt64(f[1], &task.id) || !ParseStateCode(f[2], &task.state) ||
-          !ParseInt64(f[3], &attempts) ||
-          !ParseInt64(f[4], &task.enqueue_micros) ||
-          !ParseInt64(f[5], &task.lease_deadline_micros)) {
-        continue;
-      }
-      task.attempts = static_cast<int>(attempts);
-      task.session = DecField(f[6]);
-      task.owner = DecField(f[7]);
-      task.description = DecField(f[8]);
-      task.failure = DecField(f[9]);
-      next_id_ = std::max(next_id_, task.id + 1);
-      auto [it, inserted] = tasks_.insert_or_assign(task.id, std::move(task));
-      if (inserted) Index(it->second, +1);
+  return Status::OK();
+}
+
+void PersistentQueue::ApplyCheckpointLine(const std::vector<std::string>& f) {
+  if (f.empty()) return;
+  if (f[0] == "now" && f.size() == 2) {
+    int64_t now = 0;
+    if (ParseInt64(f[1], &now) && clock_->NowMicros() < now) {
+      clock_->SetMicros(now);
     }
+  } else if (f[0] == "next" && f.size() == 2) {
+    int64_t next = 0;
+    if (ParseInt64(f[1], &next)) next_id_ = std::max(next_id_, next);
+  } else if (f[0] == "t" && f.size() == 10) {
+    QueueTask task;
+    int64_t attempts = 0;
+    if (!ParseInt64(f[1], &task.id) || !ParseStateCode(f[2], &task.state) ||
+        !ParseInt64(f[3], &attempts) ||
+        !ParseInt64(f[4], &task.enqueue_micros) ||
+        !ParseInt64(f[5], &task.lease_deadline_micros)) {
+      return;
+    }
+    task.attempts = static_cast<int>(attempts);
+    task.session = DecField(f[6]);
+    task.owner = DecField(f[7]);
+    task.description = DecField(f[8]);
+    task.failure = DecField(f[9]);
+    next_id_ = std::max(next_id_, task.id + 1);
+    auto [it, inserted] = tasks_.insert_or_assign(task.id, std::move(task));
+    if (inserted) Index(it->second, +1);
   }
-  return Status::OK();
 }
 
-Status PersistentQueue::ReplayJournalTail() {
-  std::ifstream in(journal_path_, std::ios::binary);
-  if (!in) return Status::OK();
-  if (journal_offset_ > 0) in.seekg(journal_offset_);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string body;
-    // A torn or corrupted line ends the valid prefix; everything after
-    // it never durably happened.
-    if (!Unstamp(line, &body)) break;
-    PAPYRUS_RETURN_IF_ERROR(ApplyJournalLine(body));
-    journal_offset_ += static_cast<int64_t>(line.size()) + 1;
-  }
-  return Status::OK();
+void PersistentQueue::ReplayJournalTail() {
+  // A torn or corrupted line ends the valid prefix; everything after it
+  // never durably happened.
+  std::vector<std::string> bodies;
+  journal_offset_ = storage::Log::Read(journal_path_, journal_offset_,
+                                       storage::Log::Collect(&bodies))
+                        .end;
+  for (const std::string& body : bodies) ApplyJournalLine(body);
 }
 
-Status PersistentQueue::ApplyJournalLine(const std::string& body) {
+void PersistentQueue::ApplyJournalLine(const std::string& body) {
   std::vector<std::string> f = SplitWhitespace(body);
-  if (f.empty()) return Status::OK();
   int64_t id = 0;
-  if (f.size() < 2 || !ParseInt64(f[1], &id)) return Status::OK();
+  if (f.size() < 2 || !ParseInt64(f[1], &id)) return;
   if (f[0] == "e" && f.size() == 5) {
     // Replay over a newer checkpoint can re-see an enqueue; the
     // checkpointed task wins.
     next_id_ = std::max(next_id_, id + 1);
-    if (tasks_.count(id) != 0) return Status::OK();
+    if (tasks_.count(id) != 0) return;
     QueueTask task;
     task.id = id;
-    if (!ParseInt64(f[2], &task.enqueue_micros)) return Status::OK();
+    if (!ParseInt64(f[2], &task.enqueue_micros)) return;
     task.session = DecField(f[3]);
     task.description = DecField(f[4]);
     auto [it, inserted] = tasks_.emplace(id, std::move(task));
     if (inserted) Index(it->second, +1);
-    return Status::OK();
+    return;
   }
   auto it = tasks_.find(id);
-  if (it == tasks_.end()) return Status::OK();
+  if (it == tasks_.end()) return;
   QueueTask& task = it->second;
   // Terminal states never regress, whatever a stale journal says.
   if (task.state == TaskState::kDone || task.state == TaskState::kFailed) {
-    return Status::OK();
+    return;
   }
   if (f[0] == "c" && f.size() == 5) {
     int64_t attempt = 0;
     int64_t deadline = 0;
     if (!ParseInt64(f[2], &attempt) || !ParseInt64(f[3], &deadline)) {
-      return Status::OK();
+      return;
     }
     Index(task, -1);
     task.state = TaskState::kClaimed;
@@ -304,32 +263,22 @@ Status PersistentQueue::ApplyJournalLine(const std::string& body) {
     task.state = TaskState::kFailed;
     task.failure = DecField(f[2]);
   }
-  return Status::OK();
 }
 
 Status PersistentQueue::AppendJournal(const std::string& body) {
-  std::string line = Stamp(body);
   if (options_.shared) {
-    // Shared mode appends through a fresh stream each time: a sibling's
-    // checkpoint swaps the journal inode, and a held-open stream would
-    // keep writing to the orphaned file. Callers hold the queue flock
-    // across SyncShared() + this append, so O_APPEND lands the line at a
-    // stable EOF and the offset stays exact.
-    std::ofstream out(journal_path_, std::ios::app | std::ios::binary);
-    out << line << '\n';
-    out.flush();
-    if (!out) {
-      return Status::Internal("cannot append to journal " + journal_path_);
-    }
-    journal_offset_ += static_cast<int64_t>(line.size()) + 1;
-    return Status::OK();
+    // Shared mode reopens the journal for every append: a sibling's
+    // checkpoint swaps the journal inode, and a held-open descriptor
+    // would keep writing to the orphaned file. Callers hold the queue
+    // flock across SyncShared() + this append, so the offset is the exact
+    // valid end, and a tail torn by a dead sibling is cut off first.
+    PAPYRUS_RETURN_IF_ERROR(journal_.Open(journal_path_, journal_offset_));
   }
-  journal_ << line << '\n';
-  journal_.flush();
-  if (!journal_) {
-    return Status::Internal("cannot append to journal " + journal_path_);
-  }
-  journal_offset_ += static_cast<int64_t>(line.size()) + 1;
+  // Written to the kernel at once, never fsynced: the record survives
+  // the death of this process, not the loss of the host.
+  journal_.Append(body);
+  PAPYRUS_RETURN_IF_ERROR(journal_.Write().status());
+  journal_offset_ = journal_.end();
   return Status::OK();
 }
 
@@ -342,7 +291,7 @@ Result<std::unique_ptr<storage::FileLock>> PersistentQueue::SyncShared() {
     PAPYRUS_RETURN_IF_ERROR(ReloadFromDisk());
     epoch_seen_ = epoch;
   } else {
-    PAPYRUS_RETURN_IF_ERROR(ReplayJournalTail());
+    ReplayJournalTail();
   }
   UpdateDepthGauge();
   return lock;
@@ -355,7 +304,8 @@ Status PersistentQueue::ReloadFromDisk() {
   next_id_ = 1;
   journal_offset_ = 0;
   PAPYRUS_RETURN_IF_ERROR(LoadCheckpoint());
-  return ReplayJournalTail();
+  ReplayJournalTail();
+  return Status::OK();
 }
 
 Status PersistentQueue::Refresh() {
@@ -620,16 +570,9 @@ Status PersistentQueue::Checkpoint() {
   (void)lock;
   std::ostringstream out;
   out << kCheckpointHeader << '\n';
-  {
-    std::ostringstream body;
-    body << "now " << clock_->NowMicros();
-    out << Stamp(body.str()) << '\n';
-  }
-  {
-    std::ostringstream body;
-    body << "next " << next_id_;
-    out << Stamp(body.str()) << '\n';
-  }
+  out << storage::ChecksumLine("now " + std::to_string(clock_->NowMicros()))
+      << '\n';
+  out << storage::ChecksumLine("next " + std::to_string(next_id_)) << '\n';
   for (const auto& [id, task] : tasks_) {
     std::ostringstream body;
     body << "t " << id << ' ' << StateCode(task.state) << ' '
@@ -638,7 +581,7 @@ Status PersistentQueue::Checkpoint() {
          << EncField(task.session) << ' ' << EncField(task.owner)
          << ' ' << EncField(task.description) << ' '
          << EncField(task.failure);
-    out << Stamp(body.str()) << '\n';
+    out << storage::ChecksumLine(body.str()) << '\n';
   }
   // Checkpoint lands atomically first; only then is the journal
   // truncated. A crash in between replays the stale journal over the new
@@ -653,18 +596,9 @@ Status PersistentQueue::Checkpoint() {
     PAPYRUS_RETURN_IF_ERROR(storage::AtomicWriteFile(
         EpochPath(), std::to_string(epoch_seen_ + 1) + "\n"));
     epoch_seen_ += 1;
-    PAPYRUS_RETURN_IF_ERROR(storage::AtomicWriteFile(journal_path_, ""));
-    journal_offset_ = 0;
-    if (c_checkpoints_ != nullptr) c_checkpoints_->Increment();
-    return Status::OK();
   }
-  journal_.close();
-  PAPYRUS_RETURN_IF_ERROR(storage::AtomicWriteFile(journal_path_, ""));
+  PAPYRUS_RETURN_IF_ERROR(journal_.Reset());
   journal_offset_ = 0;
-  journal_.open(journal_path_, std::ios::app | std::ios::binary);
-  if (!journal_) {
-    return Status::Internal("cannot reopen journal " + journal_path_);
-  }
   if (c_checkpoints_ != nullptr) c_checkpoints_->Increment();
   return Status::OK();
 }
@@ -673,34 +607,10 @@ int64_t PersistentQueue::depth() const {
   return PendingCount() + ClaimedCount();
 }
 
-int64_t PersistentQueue::PendingCount() const {
+int64_t PersistentQueue::CountIn(TaskState state) const {
   int64_t n = 0;
   for (const auto& [id, t] : tasks_) {
-    if (t.state == TaskState::kPending) ++n;
-  }
-  return n;
-}
-
-int64_t PersistentQueue::ClaimedCount() const {
-  int64_t n = 0;
-  for (const auto& [id, t] : tasks_) {
-    if (t.state == TaskState::kClaimed) ++n;
-  }
-  return n;
-}
-
-int64_t PersistentQueue::DoneCount() const {
-  int64_t n = 0;
-  for (const auto& [id, t] : tasks_) {
-    if (t.state == TaskState::kDone) ++n;
-  }
-  return n;
-}
-
-int64_t PersistentQueue::FailedCount() const {
-  int64_t n = 0;
-  for (const auto& [id, t] : tasks_) {
-    if (t.state == TaskState::kFailed) ++n;
+    if (t.state == state) ++n;
   }
   return n;
 }

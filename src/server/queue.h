@@ -2,7 +2,6 @@
 #define PAPYRUS_SERVER_QUEUE_H_
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -17,6 +16,7 @@
 #include "base/thread_annotations.h"
 #include "obs/observability.h"
 #include "storage/file_lock.h"
+#include "storage/log.h"
 
 namespace papyrus::server {
 
@@ -90,13 +90,16 @@ struct QueueOptions {
 
 /// The crash-surviving task queue behind papyrusd.
 ///
-/// Durability = an append-only journal (`queue.pjq`) replayed over the
-/// last atomic checkpoint (`queue.pjc`). Every state transition is
-/// journaled *before* it takes effect in memory: a task is on disk from
-/// the moment Enqueue returns, and a claim, completion, or failure that
-/// was acknowledged survives any later crash. Journal lines carry the
-/// same ` !<hex>` FNV-1a line checksums as the v2 snapshot format; replay
-/// stops at the first damaged line, recovering the longest valid prefix.
+/// Durability = an append-only journal (`queue.pjq`, a storage::Log)
+/// replayed over the last atomic checkpoint (`queue.pjc`). Every state
+/// transition is journaled *before* it takes effect in memory: a task is
+/// in the journal from the moment Enqueue returns, and a claim,
+/// completion, or failure that was acknowledged survives the death of
+/// the process. Journal records are written to the kernel at once but
+/// not fsynced, so a host crash or power loss can still lose the last
+/// ones; checkpoints are written durably. Replay stops at the first
+/// damaged line, recovering the longest valid prefix, and reopening cuts
+/// the damaged tail off so new records extend a valid journal.
 ///
 /// Leases make dispatch crash-safe without distributed coordination: a
 /// claim holds a virtual-time lease, and a lease that expires (or is
@@ -177,10 +180,10 @@ class PersistentQueue {
 
   /// Tasks not yet done or failed.
   int64_t depth() const;
-  int64_t PendingCount() const;
-  int64_t ClaimedCount() const;
-  int64_t DoneCount() const;
-  int64_t FailedCount() const;
+  int64_t PendingCount() const { return CountIn(TaskState::kPending); }
+  int64_t ClaimedCount() const { return CountIn(TaskState::kClaimed); }
+  int64_t DoneCount() const { return CountIn(TaskState::kDone); }
+  int64_t FailedCount() const { return CountIn(TaskState::kFailed); }
   /// Claimed tasks re-pended while reopening after a crash.
   int64_t recovered() const { return recovered_; }
 
@@ -195,11 +198,15 @@ class PersistentQueue {
                   const obs::Observability& obs,
                   const QueueOptions& options);
 
+  int64_t CountIn(TaskState state) const;
   std::string EpochPath() const;
   Status LoadCheckpoint() PAPYRUS_REQUIRES(base::engine_thread);
-  /// Replays journal lines from `journal_offset_` to EOF.
-  Status ReplayJournalTail() PAPYRUS_REQUIRES(base::engine_thread);
-  Status ApplyJournalLine(const std::string& body)
+  void ApplyCheckpointLine(const std::vector<std::string>& fields)
+      PAPYRUS_REQUIRES(base::engine_thread);
+  /// Replays journal lines from `journal_offset_` up to the end of the
+  /// valid prefix.
+  void ReplayJournalTail() PAPYRUS_REQUIRES(base::engine_thread);
+  void ApplyJournalLine(const std::string& body)
       PAPYRUS_REQUIRES(base::engine_thread);
   Status AppendJournal(const std::string& body)
       PAPYRUS_REQUIRES(base::engine_thread);
@@ -233,7 +240,7 @@ class PersistentQueue {
   std::map<std::string, int64_t> claimed_by_session_;
   int64_t next_id_ = 1;
   int64_t recovered_ = 0;
-  std::ofstream journal_;
+  storage::Log journal_;
   /// Bytes of the journal already folded into memory.
   int64_t journal_offset_ = 0;
   /// Shared mode: checkpoint epoch this queue last synced at.

@@ -14,7 +14,6 @@ namespace papyrus::server {
 namespace {
 
 constexpr char kStateHeader[] = "papyrus-session-state v1";
-constexpr char kLegacyStateFile[] = "state.pss";
 
 }  // namespace
 
@@ -64,7 +63,6 @@ Result<std::unique_ptr<ManagedSession>> ManagedSession::Open(
   hooks.restore = [raw](const std::string& text) {
     return raw->RestoreState(text);
   };
-  hooks.legacy_file = kLegacyStateFile;
   managed->session_->set_state_hooks(std::move(hooks));
 
   PAPYRUS_RETURN_IF_ERROR(managed->session_->OpenStorage(directory));

@@ -44,9 +44,8 @@ struct SessionConfig {
 /// design data through Papyrus::StateHooks, so "task applied" and "task
 /// recorded" are one atomic unit.
 ///
-/// Pre-engine layouts (CURRENT -> snap.<N>/ whole-file snapshot
-/// directories, including their state.pss) load transparently and
-/// migrate at the first save.
+/// A session directory from before the storage engine (CURRENT ->
+/// snap.<N>/) is refused at Open, naming the directory.
 ///
 /// Recovery invariant: a task's effects are durable exactly when its WAL
 /// commit landed (journal-before-effect: Save runs before the queue

@@ -202,8 +202,9 @@ class Network {
   ManualClock* clock() const { return clock_; }
 
   /// Attaches trace + metrics sinks. Labels one trace thread-track per
-  /// host under the shared host-track process group, mirrors the totals
-  /// accumulated so far into the registry's sprite counters, and emits
+  /// host under the shared host-track process group, adds the totals
+  /// accumulated so far to a newly bound registry's sprite counters (only
+  /// deltas: the registry may be shared by other sessions), and emits
   /// every subsequent network event (spawn, migration, eviction, crash,
   /// reboot, lost process) plus per-host load counters.
   void set_observability(const obs::Observability& obs);

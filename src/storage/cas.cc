@@ -1,15 +1,14 @@
 #include "storage/cas.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "base/hash.h"
 #include "base/macros.h"
 #include "base/strings.h"
 #include "storage/atomic_file.h"
+#include "storage/log.h"
 
 namespace papyrus::storage {
 
@@ -21,49 +20,6 @@ constexpr char kStateHeader[] = "papyrus-cas v1";
 /// Trace track under the session process group (0 = session, 1 = oct
 /// database, 2 = fault injector).
 constexpr int64_t kCasTrackTid = 3;
-
-std::string HexHash(std::string_view body) {
-  std::ostringstream out;
-  out << std::hex << Fnv1a(body);
-  return out.str();
-}
-
-/// Appends the ` !<hex>` line checksum the v2 snapshot format uses.
-std::string Stamp(const std::string& body) {
-  return body + " !" + HexHash(body);
-}
-
-/// Validates and strips a line checksum; false on damage.
-bool Unstamp(const std::string& line, std::string* body) {
-  size_t mark = line.rfind(" !");
-  if (mark == std::string::npos) return false;
-  *body = line.substr(0, mark);
-  return HexHash(*body) == line.substr(mark + 2);
-}
-
-std::string EncField(const std::string& s) {
-  return "~" + PercentEncode(s);
-}
-
-std::string DecField(const std::string& token) {
-  if (!token.empty() && token[0] == '~') {
-    return PercentDecode(token.substr(1));
-  }
-  return PercentDecode(token);
-}
-
-std::string FormatHex64(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-bool ParseHex64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
 
 /// A well-formed blob hash as produced by Sha256Hex.
 bool LooksLikeHash(const std::string& s) {
@@ -155,7 +111,7 @@ std::string ContentStore::PutRecord(const std::string& key,
   body << "put " << EncField(key) << ' ' << EncField(entry.meta.tool) << ' '
        << EncField(entry.meta.tool_version) << ' '
        << EncField(entry.meta.canonical_options) << ' '
-       << FormatHex64(entry.meta.seed_salt) << ' ' << entry.meta.cost_micros
+       << FormatHex(entry.meta.seed_salt) << ' ' << entry.meta.cost_micros
        << ' ' << entry.lru_seq << ' ' << entry.outputs.size();
   for (const CasOutput& out : entry.outputs) {
     body << ' ' << EncField(out.name_hint) << ' ' << (out.visible ? 1 : 0)
@@ -164,32 +120,28 @@ std::string ContentStore::PutRecord(const std::string& key,
   return body.str();
 }
 
-Status ContentStore::ApplyJournalLine(const std::vector<std::string>& f) {
-  if (f.empty()) return Status::OK();
+void ContentStore::ApplyJournalLine(const std::vector<std::string>& f) {
+  if (f.empty()) return;
   if (f[0] == "seq" && f.size() == 2) {
     int64_t seq = 0;
     if (ParseInt64(f[1], &seq)) {
       next_lru_seq_ = std::max(next_lru_seq_, seq);
     }
-    return Status::OK();
-  }
-  if (f[0] == "put" && f.size() >= 9) {
+  } else if (f[0] == "put" && f.size() >= 9) {
     Entry entry;
     std::string key = DecField(f[1]);
     entry.meta.tool = DecField(f[2]);
     entry.meta.tool_version = DecField(f[3]);
     entry.meta.canonical_options = DecField(f[4]);
-    uint64_t salt = 0;
-    if (!ParseHex64(f[5], &salt)) return Status::OK();
-    entry.meta.seed_salt = salt;
+    if (!ParseHex(f[5], &entry.meta.seed_salt)) return;
     if (!ParseInt64(f[6], &entry.meta.cost_micros) ||
         !ParseInt64(f[7], &entry.lru_seq)) {
-      return Status::OK();
+      return;
     }
     int64_t nout = 0;
     if (!ParseInt64(f[8], &nout) || nout < 0 ||
         f.size() < 9 + 4 * static_cast<size_t>(nout)) {
-      return Status::OK();
+      return;
     }
     for (int64_t i = 0; i < nout; ++i) {
       size_t at = 9 + 4 * static_cast<size_t>(i);
@@ -199,43 +151,32 @@ Status ContentStore::ApplyJournalLine(const std::vector<std::string>& f) {
       out.blob_hash = f[at + 2];
       if (!LooksLikeHash(out.blob_hash) ||
           !ParseInt64(f[at + 3], &out.size_bytes)) {
-        return Status::OK();
+        return;
       }
       entry.outputs.push_back(std::move(out));
     }
     next_lru_seq_ = std::max(next_lru_seq_, entry.lru_seq + 1);
     entries_[key] = std::move(entry);
-    return Status::OK();
-  }
-  if (f[0] == "del" && f.size() == 2) {
+  } else if (f[0] == "del" && f.size() == 2) {
     entries_.erase(DecField(f[1]));
-    return Status::OK();
-  }
-  if (f[0] == "touch" && f.size() == 3) {
+  } else if (f[0] == "touch" && f.size() == 3) {
     int64_t seq = 0;
     auto it = entries_.find(DecField(f[1]));
     if (it != entries_.end() && ParseInt64(f[2], &seq)) {
       it->second.lru_seq = seq;
       next_lru_seq_ = std::max(next_lru_seq_, seq + 1);
     }
-    return Status::OK();
   }
-  return Status::OK();  // unknown records are skipped, not fatal
+  // Unknown records are skipped, not fatal.
 }
 
 Status ContentStore::LoadCheckpoint() {
-  std::string path =
-      (std::filesystem::path(root_) / kStateFile).string();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::OK();  // fresh store
-  std::string line;
-  if (!std::getline(in, line) || line != kStateHeader) {
-    return Status::Internal("bad CAS checkpoint header in " + path);
-  }
-  while (std::getline(in, line)) {
-    std::string body;
-    if (!Unstamp(line, &body)) break;  // damaged tail: keep the prefix
-    PAPYRUS_RETURN_IF_ERROR(ApplyJournalLine(SplitWhitespace(body)));
+  std::vector<std::string> bodies;
+  PAPYRUS_RETURN_IF_ERROR(Log::ReadCheckpoint(
+      (std::filesystem::path(root_) / kStateFile).string(), kStateHeader,
+      Log::Collect(&bodies)));
+  for (const std::string& body : bodies) {
+    ApplyJournalLine(SplitWhitespace(body));
   }
   return Status::OK();
 }
@@ -243,17 +184,14 @@ Status ContentStore::LoadCheckpoint() {
 Status ContentStore::ReplayJournal() {
   std::string path =
       (std::filesystem::path(root_) / kJournalFile).string();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::OK();
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string body;
-    // A torn or corrupted line ends the valid prefix; everything after
-    // it never durably happened.
-    if (!Unstamp(line, &body)) break;
-    PAPYRUS_RETURN_IF_ERROR(ApplyJournalLine(SplitWhitespace(body)));
+  // A torn or corrupted line ends the valid prefix; everything after it
+  // never durably happened, and reopening cuts it off.
+  std::vector<std::string> bodies;
+  LogScan scan = Log::Read(path, 0, Log::Collect(&bodies));
+  for (const std::string& body : bodies) {
+    ApplyJournalLine(SplitWhitespace(body));
   }
-  return Status::OK();
+  return journal_.Open(path, scan.end);
 }
 
 Status ContentStore::CollectOrphans() {
@@ -277,11 +215,10 @@ Status ContentStore::CollectOrphans() {
 }
 
 Status ContentStore::AppendJournal(const std::string& body) {
-  journal_ << Stamp(body) << '\n';
-  journal_.flush();
-  if (!journal_) {
-    return Status::Internal("cannot append to CAS journal under " + root_);
-  }
+  // Written to the kernel at once, never fsynced: the record survives the
+  // death of this process, not the loss of the host.
+  journal_.Append(body);
+  PAPYRUS_RETURN_IF_ERROR(journal_.Write().status());
   ++journal_appends_;
   return Status::OK();
 }
@@ -289,29 +226,16 @@ Status ContentStore::AppendJournal(const std::string& body) {
 Status ContentStore::WriteCheckpoint() {
   std::ostringstream out;
   out << kStateHeader << '\n';
-  {
-    std::ostringstream seq;
-    seq << "seq " << next_lru_seq_;
-    out << Stamp(seq.str()) << '\n';
-  }
+  out << ChecksumLine("seq " + std::to_string(next_lru_seq_)) << '\n';
   for (const auto& [key, entry] : entries_) {
-    out << Stamp(PutRecord(key, entry)) << '\n';
+    out << ChecksumLine(PutRecord(key, entry)) << '\n';
   }
-  std::string state_path =
-      (std::filesystem::path(root_) / kStateFile).string();
-  std::string journal_path =
-      (std::filesystem::path(root_) / kJournalFile).string();
-  PAPYRUS_RETURN_IF_ERROR(AtomicWriteFile(state_path, out.str()));
+  PAPYRUS_RETURN_IF_ERROR(AtomicWriteFile(
+      (std::filesystem::path(root_) / kStateFile).string(), out.str()));
   // The journal restarts empty only after the checkpoint that covers it
   // landed; a crash in between replays stale records over the new
   // checkpoint, which Apply makes idempotent.
-  journal_.close();
-  PAPYRUS_RETURN_IF_ERROR(AtomicWriteFile(journal_path, ""));
-  journal_.clear();
-  journal_.open(journal_path, std::ios::app | std::ios::binary);
-  if (!journal_) {
-    return Status::Internal("cannot reopen CAS journal under " + root_);
-  }
+  PAPYRUS_RETURN_IF_ERROR(journal_.Reset());
   journal_appends_ = 0;
   return Status::OK();
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -14,6 +13,7 @@
 #include "base/result.h"
 #include "base/status.h"
 #include "obs/observability.h"
+#include "storage/log.h"
 
 namespace papyrus::storage {
 
@@ -94,8 +94,8 @@ struct CasOptions {
 ///
 /// On-disk layout under `root`:
 ///   cas.state            atomic checkpoint (write-rename-fsync)
-///   cas.journal          checksummed append-only journal over the
-///                        checkpoint (put/del/touch records)
+///   cas.journal          a storage::Log over the checkpoint
+///                        (put/del/touch records)
 ///   blobs/<hh>/<sha256>  one file per unique output payload
 ///
 /// Durability protocol: blob files land first (each written atomically),
@@ -104,7 +104,10 @@ struct CasOptions {
 /// after recovering the index from checkpoint + longest-valid journal
 /// prefix. Blob ref-counts are derived state — an entry's `put` / `del`
 /// journal records ARE the journaled ref-count updates — so the store can
-/// never recover an inconsistent count.
+/// never recover an inconsistent count. Journal records are written to
+/// the kernel at once but not fsynced: a publication survives the death
+/// of the process, while a host crash or power loss can lose the latest
+/// records (the blobs they name are then collected as orphans).
 ///
 /// Thread contract: all public methods lock the internal mutex; Fetch
 /// copies blob bytes out under the lock, so concurrent eviction can never
@@ -169,7 +172,7 @@ class ContentStore {
 
   Status LoadCheckpoint() PAPYRUS_REQUIRES(mu_);
   Status ReplayJournal() PAPYRUS_REQUIRES(mu_);
-  Status ApplyJournalLine(const std::vector<std::string>& f)
+  void ApplyJournalLine(const std::vector<std::string>& f)
       PAPYRUS_REQUIRES(mu_);
   Status CollectOrphans() PAPYRUS_REQUIRES(mu_);
   Status AppendJournal(const std::string& body) PAPYRUS_REQUIRES(mu_);
@@ -213,7 +216,7 @@ class ContentStore {
   int64_t total_bytes_ PAPYRUS_GUARDED_BY(mu_) = 0;
   int64_t next_lru_seq_ PAPYRUS_GUARDED_BY(mu_) = 1;
   int64_t journal_appends_ PAPYRUS_GUARDED_BY(mu_) = 0;
-  std::ofstream journal_ PAPYRUS_GUARDED_BY(mu_);
+  Log journal_ PAPYRUS_GUARDED_BY(mu_);
   CasStats stats_ PAPYRUS_GUARDED_BY(mu_);
 
   obs::Observability obs_ PAPYRUS_GUARDED_BY(mu_);

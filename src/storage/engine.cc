@@ -1,8 +1,5 @@
 #include "storage/engine.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -17,26 +14,6 @@ namespace papyrus::storage {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string FormatHex(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-bool ParseHexU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
 
 Result<std::string> ReadFile(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -53,14 +30,6 @@ std::string SectionFileName(const std::string& section, uint64_t gen) {
     if (c == '/') c = '_';
   }
   return flat + ".g" + std::to_string(gen);
-}
-
-std::string EncF(const std::string& v) { return "~" + PercentEncode(v); }
-
-std::string DecF(const std::string& v) {
-  std::string_view sv = v;
-  if (!sv.empty() && sv.front() == '~') sv.remove_prefix(1);
-  return PercentDecode(sv);
 }
 
 }  // namespace
@@ -95,24 +64,24 @@ Status SessionStore::LoadManifest(const std::string& manifest_file,
       continue;
     }
     if (f[0] == "gen" && f.size() == 2) {
-      if (!ParseU64(f[1], &generation_)) {
+      if (!ParseUint64(f[1], &generation_)) {
         return Status::InvalidArgument("bad manifest gen: " + body);
       }
     } else if (f[0] == "walbase" && f.size() == 2) {
-      if (!ParseU64(f[1], &wal_base_)) {
+      if (!ParseUint64(f[1], &wal_base_)) {
         return Status::InvalidArgument("bad manifest walbase: " + body);
       }
     } else if (f[0] == "section" && f.size() == 4) {
       SectionFile sf;
-      sf.file = DecF(f[2]);
-      if (!ParseHexU64(f[3], &sf.checksum)) {
+      sf.file = DecField(f[2]);
+      if (!ParseHex(f[3], &sf.checksum)) {
         return Status::InvalidArgument("bad section checksum: " + body);
       }
-      current_[DecF(f[1])] = sf;
+      current_[DecField(f[1])] = sf;
       ++section_lines;
     } else if (f[0] == "end" && f.size() == 2) {
       uint64_t count = 0;
-      if (!ParseU64(f[1], &count) || count != section_lines) {
+      if (!ParseUint64(f[1], &count) || count != section_lines) {
         return Status::InvalidArgument("manifest section count mismatch");
       }
       saw_end = true;
@@ -143,25 +112,23 @@ Result<SessionStore::OpenResult> SessionStore::Open(
   fs::create_directories(dir_, ec);
   OpenResult out;
 
-  std::string current;
   if (auto text = ReadFile(fs::path(dir_) / "CURRENT"); text.ok()) {
-    current = std::string(Trim(*text));
-  }
-  if (StartsWith(current, "manifest.")) {
+    std::string current(Trim(*text));
+    uint64_t gen = 0;
+    if (!StartsWith(current, "manifest.") ||
+        !ParseUint64(current.substr(9), &gen)) {
+      return Status::FailedPrecondition(
+          "session directory " + dir_ + ": CURRENT names \"" + current +
+          "\", not manifest.<gen>; layouts older than the storage engine "
+          "are not read");
+    }
     out.layout = Layout::kEngine;
     PAPYRUS_RETURN_IF_ERROR(LoadManifest(current, &out));
-  } else if (StartsWith(current, "snap.")) {
-    out.layout = Layout::kLegacySnapDir;
-    out.legacy_dir = (fs::path(dir_) / current).string();
-    uint64_t n = 0;
-    (void)ParseU64(current.substr(5), &n);
-    out.legacy_generation = n;
-    generation_ = n;  // engine numbering continues after the legacy one
   } else if (fs::exists(fs::path(dir_) / "database.pdb")) {
-    out.layout = Layout::kLegacyFlat;
-    out.legacy_dir = dir_;
-  } else {
-    out.layout = Layout::kEmpty;
+    return Status::FailedPrecondition(
+        "session directory " + dir_ +
+        ": database.pdb without CURRENT is a whole-file snapshot from "
+        "before the storage engine; it is not read");
   }
 
   PAPYRUS_ASSIGN_OR_RETURN(WalReplay replay,
@@ -229,7 +196,7 @@ Status SessionStore::SaveGeneration(
   m << ChecksumLine("gen " + std::to_string(gen)) << '\n';
   m << ChecksumLine("walbase " + std::to_string(base)) << '\n';
   for (const auto& [name, sf] : next) {
-    m << ChecksumLine("section " + EncF(name) + ' ' + EncF(sf.file) +
+    m << ChecksumLine("section " + EncField(name) + ' ' + EncField(sf.file) +
                       ' ' + FormatHex(sf.checksum))
       << '\n';
   }
@@ -268,11 +235,9 @@ void SessionStore::PruneUnreferenced() {
     bool is_generation_file =
         base.rfind(".g") != std::string::npos ||
         StartsWith(base, "manifest.");
-    // Migrated legacy snapshot dirs and orphaned temp files are garbage
-    // once a manifest exists.
-    bool is_legacy_snap = StartsWith(base, "snap.") ||
-                          base.find(".tmp.") != std::string::npos;
-    if (!is_generation_file && !is_legacy_snap) continue;
+    // Orphaned temp files are garbage once a manifest exists.
+    bool is_temp = base.find(".tmp.") != std::string::npos;
+    if (!is_generation_file && !is_temp) continue;
     std::error_code rm_ec;
     uintmax_t removed = fs::remove_all(entry.path(), rm_ec);
     if (!rm_ec) save_stats_.files_pruned += static_cast<int64_t>(removed);

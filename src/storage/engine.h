@@ -47,11 +47,8 @@ class SessionStore {
  public:
   /// What kind of on-disk state Open found.
   enum class Layout {
-    kEmpty,          // nothing restorable: fresh session
-    kEngine,         // CURRENT -> manifest (this engine's layout)
-    kLegacySnapDir,  // PR 6 daemon layout: CURRENT -> snap.<N>/ of
-                     // whole-file snapshots (migrated on the next save)
-    kLegacyFlat,     // PR 1 flat layout: database.pdb + thread_*.pth
+    kEmpty,   // nothing restorable: fresh session
+    kEngine,  // CURRENT -> manifest
   };
 
   /// Simulated-crash points for the recovery matrix. The hook returns
@@ -69,14 +66,7 @@ class SessionStore {
 
   struct OpenResult {
     Layout layout = Layout::kEmpty;
-    /// Directory holding the legacy snapshot files (the snap.<N> dir or
-    /// the session dir itself) for the legacy layouts.
-    std::string legacy_dir;
-    /// Legacy generation number (snap.<N>); engine numbering continues
-    /// from it so pruning and fingerprints stay monotonic.
-    uint64_t legacy_generation = 0;
-    /// Section name -> text, verified against the manifest checksums
-    /// (kEngine only).
+    /// Section name -> text, verified against the manifest checksums.
     std::map<std::string, std::string> sections;
     /// WAL tail to replay on top of the sections, in sequence order.
     std::vector<WalRecord> wal;
@@ -89,9 +79,11 @@ class SessionStore {
   SessionStore(const SessionStore&) = delete;
   SessionStore& operator=(const SessionStore&) = delete;
 
-  /// Opens (creating if needed) a session directory and classifies its
-  /// layout. Always opens the WAL for appending — legacy layouts may
-  /// carry a WAL too when a migration was interrupted mid-flight.
+  /// Opens (creating if needed) a session directory and opens its WAL
+  /// for appending. A directory this engine did not write fails loudly
+  /// with FailedPrecondition naming it, rather than opening as empty:
+  /// CURRENT naming anything but `manifest.<gen>`, or a pre-engine
+  /// `database.pdb` snapshot without CURRENT.
   Result<OpenResult> Open(const std::string& dir);
 
   bool is_open() const { return wal_.is_open(); }

@@ -8,19 +8,9 @@
 
 #include "base/result.h"
 #include "base/status.h"
+#include "storage/log.h"
 
 namespace papyrus::storage {
-
-// --- checksummed line framing --------------------------------------------
-// The storage engine frames every durable line the way the v2 snapshot
-// format does: `<body> !<16-hex FNV-1a of body>`. These helpers are shared
-// by the WAL, the generation manifest, and the tests that chop them.
-
-/// `body` + " !<hex>". `body` must not contain '\n'.
-std::string ChecksumLine(std::string_view body);
-
-/// Splits a framed line into its body, verifying the checksum.
-Result<std::string> CheckChecksummedLine(std::string_view line);
 
 // --- write-ahead log ------------------------------------------------------
 
@@ -43,13 +33,14 @@ struct WalReplay {
   bool truncated = false;          // tail damage was detected
 };
 
-/// The checksummed append-only write-ahead log.
+/// The session write-ahead log, a storage::Log with sequence numbers.
 ///
 /// Layout: one `papyrus-wal 1 <base_seq>` header line, then one
 /// `w <seq> <body>` line per record, every line checksum-framed. Recovery
 /// keeps the longest valid prefix: the first line whose checksum fails,
 /// whose sequence regresses, or that is cut mid-line ends the replay, and
-/// Open truncates the torn tail so new appends extend a valid log.
+/// Open truncates the torn tail (and fsyncs the cut) so new appends
+/// extend a valid log.
 ///
 /// Journal-before-effect: callers append the records of a task's
 /// mutations and Commit() before acknowledging the task anywhere outside
@@ -62,7 +53,6 @@ struct WalReplay {
 class WriteAheadLog {
  public:
   WriteAheadLog() = default;
-  ~WriteAheadLog();
 
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
@@ -75,7 +65,7 @@ class WriteAheadLog {
   /// positions at the end. Creates the file (base 0) when missing.
   Result<WalReplay> Open(const std::string& path);
 
-  bool is_open() const { return fd_ >= 0; }
+  bool is_open() const { return log_.is_open(); }
 
   /// Buffers one record; returns its sequence number. Bodies must be
   /// single-line.
@@ -91,7 +81,7 @@ class WriteAheadLog {
   /// generation. Discards anything buffered. The log stays open.
   Status Reset(uint64_t base_seq);
 
-  void Close();
+  void Close() { log_.Close(); }
 
   uint64_t next_seq() const { return next_seq_; }
   size_t buffered_records() const { return buffered_count_; }
@@ -107,10 +97,8 @@ class WriteAheadLog {
   const Stats& stats() const { return stats_; }
 
  private:
-  std::string path_;
-  int fd_ = -1;
+  Log log_;
   uint64_t next_seq_ = 1;
-  std::string buffer_;
   size_t buffered_count_ = 0;
   Stats stats_;
 };

@@ -654,21 +654,23 @@ TEST(SharedStoreSessionTest, SessionCacheSnapshotCarriesContentKeys) {
   options.shared_store_path = store_dir;
   {
     Papyrus session(options);
+    ASSERT_TRUE(session.OpenStorage(snap_dir).ok());
     auto spec = session.database().CreateVersion(
         "spec", BehavioralSpec{8, 8, 12, 77});
     auto cmds =
         session.database().CreateVersion("sim.cmd", TextData{"run 100"});
     ASSERT_TRUE(RunFlow(session, *spec, *cmds).committed);
-    ASSERT_TRUE(session.SaveSession(snap_dir).ok());
+    ASSERT_TRUE(session.SaveGeneration().ok());
+    auto pdc = session.store()->ReadSection("cache");
+    ASSERT_TRUE(pdc.ok()) << pdc.status().message();
+    EXPECT_EQ(pdc->rfind("papyrus-cache 3", 0), 0u);
+    EXPECT_NE(pdc->find("\nckey "), std::string::npos);
   }
-  std::string pdc = ReadAll(fs::path(snap_dir) / "cache.pdc");
-  EXPECT_EQ(pdc.rfind("papyrus-cache 3", 0), 0u);
-  EXPECT_NE(pdc.find("\nckey "), std::string::npos);
 
   // Wipe the store; restoring the session republishes all entries.
   fs::remove_all(store_dir);
   Papyrus restored(options);
-  ASSERT_TRUE(restored.LoadSession(snap_dir).ok());
+  ASSERT_TRUE(restored.OpenStorage(snap_dir).ok());
   EXPECT_GE(restored.shared_store()->stats().entries, 6);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -347,12 +348,12 @@ TEST(ObsIntegrationTest, HeadlessCaptureWritesTraceAndMetrics) {
 // Parallel-executor determinism at the session level
 
 /// Everything a worker count could conceivably perturb, rendered to
-/// comparable strings: full task histories, the ADG, and the raw snapshot
-/// bytes SaveSession wrote.
+/// comparable strings: full task histories, the ADG, and the raw section
+/// bytes a storage-engine generation wrote.
 struct SessionFingerprint {
   std::string histories;
   std::string adg;
-  std::map<std::string, std::string> snapshot;  // file name -> bytes
+  std::map<std::string, std::string> snapshot;  // section name -> bytes
   int64_t steps_pool = 0;
   int64_t steps_inline = 0;
 };
@@ -416,9 +417,11 @@ constexpr char kSoakTemplate[] =
 SessionFingerprint RunSessionWorkload(int workers) {
   std::string dir =
       ::testing::TempDir() + "/det_w" + std::to_string(workers);
+  std::filesystem::remove_all(dir);
   SessionOptions opts;
   opts.worker_threads = workers;
   Papyrus session(opts);
+  EXPECT_TRUE(session.OpenStorage(dir).ok());
   RegisterSoakTool(session);
   EXPECT_TRUE(session.AddTemplate(kSoakTemplate).ok());
 
@@ -466,13 +469,11 @@ SessionFingerprint RunSessionWorkload(int workers) {
   }
   fp.adg = adg.str();
 
-  EXPECT_TRUE(session.SaveSession(dir).ok());
-  for (const char* name : {"database.pdb", "cache.pdc"}) {
-    std::ifstream in(dir + "/" + name, std::ios::binary);
-    EXPECT_TRUE(in.good()) << name;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    fp.snapshot[name] = buf.str();
+  EXPECT_TRUE(session.SaveGeneration().ok());
+  for (const auto& [name, file] : session.store()->CurrentSectionFiles()) {
+    auto text = session.store()->ReadSection(name);
+    EXPECT_TRUE(text.ok()) << name;
+    fp.snapshot[name] = text.ok() ? *text : "<unreadable>";
   }
   fp.steps_pool =
       session.metrics().FindOrCreateCounter(kExecStepsPool)->value();

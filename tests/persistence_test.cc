@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +8,7 @@
 #include "base/clock.h"
 #include "base/strings.h"
 #include "core/papyrus.h"
+#include "storage/log.h"
 
 namespace papyrus::activity {
 namespace {
@@ -19,13 +17,6 @@ using oct::Layout;
 using oct::LogicNetwork;
 using oct::ObjectId;
 using oct::TextData;
-
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 TEST(PercentEncodingTest, RoundTripsArbitraryStrings) {
   for (const std::string& s :
@@ -123,14 +114,37 @@ TEST(DatabasePersistenceTest, FullRangeSeedsRoundTrip) {
   EXPECT_EQ(SerializeDatabase(**restored), snapshot);
 }
 
+/// A complete, intact v2 snapshot of `kind` holding `bodies`: each line
+/// checksum-framed, then the stream trailer.
+std::string FramedSnapshot(const std::string& kind,
+                           const std::vector<std::string>& bodies) {
+  std::string text = kind + " 2\n";
+  std::string stream;
+  for (const std::string& body : bodies) {
+    text += storage::ChecksumLine(body) + "\n";
+    stream += body + "\n";
+  }
+  return text + "end " + std::to_string(bodies.size()) + " " +
+         FormatHex(Fnv1a(stream)) + "\n";
+}
+
 TEST(DatabasePersistenceTest, RejectsGarbage) {
   ManualClock clock(0);
   EXPECT_FALSE(RestoreDatabase("not a snapshot", &clock).ok());
   EXPECT_FALSE(
-      RestoreDatabase("papyrus-db 1\nobject broken\n", &clock).ok());
+      RestoreDatabase(FramedSnapshot("papyrus-db", {"object broken"}),
+                      &clock)
+          .ok());
   // Out-of-order versions rejected.
+  EXPECT_FALSE(RestoreDatabase(FramedSnapshot("papyrus-db",
+                                              {"object ~x 2 ~ 0 0 0 1 0 "
+                                               "none"}),
+                               &clock)
+                   .ok());
+  // Version 1 (no checksums) is no longer read.
   EXPECT_FALSE(RestoreDatabase("papyrus-db 1\n"
-                               "object ~x 2 ~ 0 0 0 1 0 none\n",
+                               "object ~x 1 ~ 0 0 4 1 0 none\n"
+                               "end\n",
                                &clock)
                    .ok());
 }
@@ -317,18 +331,6 @@ TEST_F(CorruptionRecoveryTest, BitFlipDropsTheDamagedSuffix) {
   EXPECT_EQ((*db)->TotalVersionCount(), 2);
 }
 
-TEST_F(CorruptionRecoveryTest, LegacyV1SnapshotsStillRestore) {
-  ManualClock clock(0);
-  EXPECT_TRUE(RestoreDatabase("papyrus-db 1\n"
-                              "object ~x 1 ~ 0 0 4 1 0 none\n"
-                              "end\n",
-                              &clock)
-                  .ok());
-  EXPECT_TRUE(RestoreThread("papyrus-thread 1\nmeta 3 ~legacy 0 8\nend\n",
-                            &clock)
-                  .ok());
-}
-
 TEST_F(CorruptionRecoveryTest, DamagedThreadPrunesDanglingLinks) {
   // Build a real two-node thread, then chop the snapshot so the second
   // node is lost; the survivor's child link and the cursor must not
@@ -380,20 +382,23 @@ TEST(AtomicSaveTest, SaveLeavesNoTempFilesAndRoundTrips) {
   fs::remove_all(dir);
 
   Papyrus session;
+  ASSERT_TRUE(session.OpenStorage(dir.string()).ok());
   int tid = session.CreateThread("saved");
   auto p1 =
       session.Invoke(tid, "Create_Logic_Description", {}, {"a.logic"});
   ASSERT_TRUE(p1.ok());
-  ASSERT_TRUE(session.SaveSession(dir.string()).ok());
-  // Save again over the existing snapshot: the rename path must handle
-  // replacement, and no *.tmp litter may remain.
-  ASSERT_TRUE(session.SaveSession(dir.string()).ok());
+  ASSERT_TRUE(session.SaveGeneration().ok());
+  // Save again: CURRENT and the WAL are replaced through the rename
+  // path, and no temp-file litter may remain.
+  ASSERT_TRUE(session.SaveGeneration().ok());
   for (const auto& entry : fs::directory_iterator(dir)) {
-    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+              std::string::npos)
+        << entry.path();
   }
 
   Papyrus fresh;
-  ASSERT_TRUE(fresh.LoadSession(dir.string()).ok());
+  ASSERT_TRUE(fresh.OpenStorage(dir.string()).ok());
   EXPECT_EQ(fresh.last_restore_stats().records_dropped, 0);
   EXPECT_FALSE(fresh.last_restore_stats().truncated);
   EXPECT_EQ(fresh.database().TotalVersionCount(),
@@ -401,130 +406,20 @@ TEST(AtomicSaveTest, SaveLeavesNoTempFilesAndRoundTrips) {
   fs::remove_all(dir);
 }
 
-// ---------------------------------------------------------------------------
-// Legacy-layout migration through the storage engine
-
-/// The deterministic workload used to compare a migrated legacy snapshot
-/// against a session that lived on the engine from the start.
-void RunMigrationWorkload(Papyrus& session) {
-  int tid = session.CreateThread("mig");
-  ASSERT_TRUE(
-      session.Invoke(tid, "Create_Logic_Description", {}, {"m.logic"})
-          .ok());
-  ASSERT_TRUE(session
-                  .Invoke(tid, "Standard_Cell_Place_and_Route",
-                          {"m.logic"}, {"m.layout"})
-                  .ok());
-  ASSERT_TRUE(
-      session.CheckInObject("/u/alice/notes", TextData{"run 100"}).ok());
-}
-
-/// Compacts and returns every live section's bytes, keyed by name.
-std::map<std::string, std::string> SectionFingerprint(Papyrus& session) {
-  std::map<std::string, std::string> fp;
-  EXPECT_TRUE(session.SaveGeneration().ok());
-  for (const auto& [name, file] :
-       session.store()->CurrentSectionFiles()) {
-    auto text = session.store()->ReadSection(name);
-    EXPECT_TRUE(text.ok()) << name << ": " << text.status().message();
-    fp[name] = text.ok() ? *text : "<unreadable>";
-  }
-  return fp;
-}
-
-std::string MigrationDir(const std::string& name) {
-  namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / ("papyrus_mig_" + name);
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  fs::create_directories(dir, ec);
-  return dir.string();
-}
-
-TEST(LegacyMigrationTest, FlatLayoutRestoresByteIdenticallyAndMigrates) {
-  namespace fs = std::filesystem;
-  // Reference: the same work done on the engine from the start.
-  std::map<std::string, std::string> reference;
-  {
-    Papyrus session;
-    ASSERT_TRUE(session.OpenStorage(MigrationDir("flat_ref")).ok());
-    RunMigrationWorkload(session);
-    reference = SectionFingerprint(session);
-  }
-  ASSERT_GT(reference.size(), 0u);
-
-  // A pre-engine session saved with the PR 1 whole-file flat layout.
-  std::string dir = MigrationDir("flat_legacy");
-  {
-    Papyrus session;
-    RunMigrationWorkload(session);
-    ASSERT_TRUE(session.SaveSession(dir).ok());
-  }
-  ASSERT_TRUE(fs::exists(fs::path(dir) / "database.pdb"));
-
-  // Opening through the engine migrates: the restored state serializes
-  // byte-identically to the never-legacy reference, and the next open
-  // finds an engine layout.
-  {
-    Papyrus session;
-    ASSERT_TRUE(session.OpenStorage(dir).ok());
-    EXPECT_EQ(session.last_restore_stats().records_dropped, 0);
-    std::map<std::string, std::string> migrated =
-        SectionFingerprint(session);
-    EXPECT_EQ(migrated, reference);
-  }
-  EXPECT_NE(ReadAll((fs::path(dir) / "CURRENT").string())
-                .find("manifest."),
-            std::string::npos);
-  {
-    Papyrus session;
-    ASSERT_TRUE(session.OpenStorage(dir).ok());
-    EXPECT_TRUE(
-        session.database().LatestVisible("m.layout").ok());
-  }
-}
-
-TEST(LegacyMigrationTest, SnapDirLayoutMigratesAndContinuesNumbering) {
-  namespace fs = std::filesystem;
-  std::map<std::string, std::string> reference;
-  {
-    Papyrus session;
-    ASSERT_TRUE(session.OpenStorage(MigrationDir("snap_ref")).ok());
-    RunMigrationWorkload(session);
-    reference = SectionFingerprint(session);
-  }
-
-  // A pre-engine daemon session: CURRENT -> snap.<N>/ of whole files.
-  std::string dir = MigrationDir("snap_legacy");
-  {
-    Papyrus session;
-    RunMigrationWorkload(session);
-    ASSERT_TRUE(
-        session.SaveSession((fs::path(dir) / "snap.7").string()).ok());
-    std::ofstream current(fs::path(dir) / "CURRENT",
-                          std::ios::binary | std::ios::trunc);
-    current << "snap.7\n";
-  }
-
-  Papyrus session;
-  ASSERT_TRUE(session.OpenStorage(dir).ok());
-  std::map<std::string, std::string> migrated =
-      SectionFingerprint(session);
-  EXPECT_EQ(migrated, reference);
-  // Engine generations continue after the legacy number, and the
-  // migrated snapshot directory is pruned once a manifest owns the data.
-  EXPECT_EQ(session.store()->generation(), 8u);
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "snap.7"));
-}
-
 TEST(ThreadPersistenceErrorTest, RejectsGarbage) {
   ManualClock clock(0);
   EXPECT_FALSE(RestoreThread("nope", &clock).ok());
-  EXPECT_FALSE(RestoreThread("papyrus-thread 1\nnode 1 0 0 0 ~\n", &clock)
-                   .ok());  // missing meta
   EXPECT_FALSE(
-      RestoreThread("papyrus-thread 1\nmeta 1 ~t 99 8\n", &clock).ok());
-  // ^ cursor points at a missing node
+      RestoreThread(FramedSnapshot("papyrus-thread", {"node 1 0 0 0 ~"}),
+                    &clock)
+          .ok());  // missing meta
+  EXPECT_FALSE(
+      RestoreThread(FramedSnapshot("papyrus-thread", {"meta 1 ~t 99 8"}),
+                    &clock)
+          .ok());  // cursor points at a missing node
+  EXPECT_FALSE(RestoreThread("papyrus-thread 1\nmeta 3 ~t 0 8\nend\n",
+                             &clock)
+                   .ok());  // version 1 is no longer read
 }
 
 }  // namespace

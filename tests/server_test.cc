@@ -637,6 +637,50 @@ TEST(DaemonTest, IntraSessionFaultPlanStillCommitsExactlyOnce) {
   EXPECT_TRUE(h.daemon->Shutdown().ok());
 }
 
+TEST(DaemonTest, SpriteCountersNeverRewindWhenSessionsReopen) {
+  // One open session at a time: every checkin below evicts the other
+  // session and reopens its own with a fresh sprite network. The
+  // daemon-wide registry must only ever receive that network's deltas.
+  ManualClock clock(0);
+  obs::MetricsRegistry metrics;
+  DaemonOptions options;
+  options.root = FreshDir("daemon_sprite_reopen");
+  options.clock = &clock;
+  options.metrics = &metrics;
+  options.max_open_sessions = 1;
+  auto daemon = PapyrusDaemon::Start(options);
+  ASSERT_TRUE(daemon.ok()) << daemon.status().message();
+  auto ok = [&](const std::string& line) {
+    std::string response = (*daemon)->HandleLine(line);
+    EXPECT_EQ(response.rfind("ok", 0), 0u) << line << " -> " << response;
+  };
+  const obs::Counter* spawns =
+      metrics.FindOrCreateCounter(obs::kSpriteSpawns);
+  int64_t total = 0;
+  int64_t last = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string name : {"a", "b"}) {
+      SCOPED_TRACE(name + std::to_string(round));
+      ok("checkin ~session=" + name +
+         " ~path=/proj/cell ~type=layout ~cells=12 ~area=1200 ~seed=3");
+      ok("submit ~session=" + name +
+         " ~thread=pads ~template=Padp ~in=/proj/cell ~out=cell" +
+         std::to_string(round) + ".padded ~seed=" +
+         std::to_string(9 + round));
+      ASSERT_TRUE((*daemon)->Drain().ok());
+      // The session that just ran is the one open session; its network
+      // counted every spawn since this reopen.
+      auto session = (*daemon)->OpenSession(name);
+      ASSERT_TRUE(session.ok()) << session.status().message();
+      total += (*session)->session().network().total_spawns();
+      EXPECT_GE(spawns->value(), last);
+      EXPECT_EQ(spawns->value(), total);
+      last = spawns->value();
+    }
+  }
+  EXPECT_GT(total, 0);
+}
+
 TEST(DaemonTest, GracefulShutdownCheckpointsTheQueue) {
   DaemonHarness h(FreshDir("daemon_shutdown"));
   ASSERT_TRUE(h.Boot().ok());

@@ -2,13 +2,18 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "base/clock.h"
+#include "base/strings.h"
 #include "core/papyrus.h"
+#include "server/queue.h"
+#include "storage/cas.h"
 #include "storage/engine.h"
 #include "storage/wal.h"
 
@@ -189,6 +194,195 @@ TEST(WalTest, ResetHandsRecordsToTheGenerationAndStaysMonotonic) {
 }
 
 // ---------------------------------------------------------------------------
+// storage::Log under its other owners: the WAL test above, run on a real
+// job-queue journal and a real artifact-store journal
+
+/// One real journal written by its owner.
+struct JournalCase {
+  std::string name;
+  std::string file;  // the journal, relative to the owner's directory
+  /// Writes `records` through the owner into a fresh directory.
+  std::function<void(const std::string& dir,
+                     const std::vector<std::string>& records)>
+      write;
+  /// Reopens the directory; returns the records the owner recovered, in
+  /// order.
+  std::function<std::vector<std::string>(const std::string& dir)> recover;
+  /// Reopens the directory and appends one more record.
+  std::function<void(const std::string& dir, const std::string& record)>
+      append;
+};
+
+JournalCase QueueCase() {
+  JournalCase c{"queue", "queue.pjq", nullptr, nullptr, nullptr};
+  c.write = [](const std::string& dir,
+               const std::vector<std::string>& records) {
+    ManualClock clock(0);
+    auto queue = server::PersistentQueue::Open(dir, &clock);
+    ASSERT_TRUE(queue.ok());
+    for (const std::string& r : records) {
+      ASSERT_TRUE((*queue)->Enqueue("s", r).ok());
+    }
+  };
+  c.recover = [](const std::string& dir) {
+    std::vector<std::string> out;
+    ManualClock clock(0);
+    auto queue = server::PersistentQueue::Open(dir, &clock);
+    EXPECT_TRUE(queue.ok()) << queue.status().message();
+    if (queue.ok()) {
+      for (const server::QueueTask& t : (*queue)->Tasks()) {
+        out.push_back(t.description);
+      }
+    }
+    return out;
+  };
+  c.append = [](const std::string& dir, const std::string& record) {
+    ManualClock clock(0);
+    auto queue = server::PersistentQueue::Open(dir, &clock);
+    ASSERT_TRUE(queue.ok());
+    ASSERT_TRUE((*queue)->Enqueue("s", record).ok());
+  };
+  return c;
+}
+
+JournalCase CasCase(const std::vector<std::string>* keys) {
+  JournalCase c{"cas", "cas.journal", nullptr, nullptr, nullptr};
+  auto publish = [](ContentStore& store, const std::string& key) {
+    ASSERT_TRUE(
+        store.Publish(key, CasEntryMeta{"tool", "1", "", 0, 1},
+                      {CasPublishOutput{"out", true, "bytes of " + key}})
+            .ok());
+  };
+  c.write = [publish](const std::string& dir,
+                      const std::vector<std::string>& records) {
+    auto store = ContentStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    for (const std::string& r : records) publish(**store, r);
+  };
+  // The store has no key listing; probe every key the test ever writes.
+  c.recover = [keys](const std::string& dir) {
+    std::vector<std::string> out;
+    auto store = ContentStore::Open(dir);
+    EXPECT_TRUE(store.ok()) << store.status().message();
+    if (store.ok()) {
+      for (const std::string& key : *keys) {
+        if ((*store)->Contains(key)) out.push_back(key);
+      }
+    }
+    return out;
+  };
+  c.append = [publish](const std::string& dir, const std::string& record) {
+    auto store = ContentStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    publish(**store, record);
+  };
+  return c;
+}
+
+class JournalTornTailTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(JournalTornTailTest, RecoversLongestValidPrefixAtEveryByteOffset) {
+  const std::vector<std::string> records = {"rec0", "rec1", "rec2"};
+  std::vector<std::string> keys = records;
+  keys.push_back("post-recovery");
+  const JournalCase c = GetParam() == "queue" ? QueueCase() : CasCase(&keys);
+  const std::string golden = FreshDir("torn_" + c.name + "_golden");
+  c.write(golden, records);
+  const std::string bytes = ReadAll(fs::path(golden) / c.file);
+  std::vector<size_t> boundaries;  // end offset of each line
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] == '\n') boundaries.push_back(i + 1);
+  }
+  ASSERT_EQ(boundaries.size(), records.size());
+
+  const std::string dir = FreshDir("torn_" + c.name);
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+    SCOPED_TRACE(c.name + " cut=" + std::to_string(cut));
+    // The owner's other files (blobs, checkpoint) as written, the
+    // journal cut short as a crash mid-append leaves it.
+    fs::remove_all(dir);
+    fs::copy(golden, dir, fs::copy_options::recursive);
+    WriteAll(fs::path(dir) / c.file, bytes.substr(0, cut));
+    size_t expected = 0;
+    for (size_t i = 0; i < boundaries.size(); ++i) {
+      if (boundaries[i] <= cut) ++expected;
+    }
+    std::vector<std::string> prefix(records.begin(),
+                                    records.begin() + expected);
+    ASSERT_EQ(c.recover(dir), prefix);
+
+    // The journal stays appendable: the next record lands right after
+    // the longest valid prefix and survives the next reopen.
+    c.append(dir, "post-recovery");
+    prefix.push_back("post-recovery");
+    ASSERT_EQ(c.recover(dir), prefix);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Owners, JournalTornTailTest,
+                         ::testing::Values("queue", "cas"),
+                         [](const auto& info) { return info.param; });
+
+/// True when some framed line of `path` carries a checksum narrower than
+/// 16 hex digits.
+bool HasUnpaddedChecksum(const fs::path& path) {
+  for (const std::string& line : Split(ReadAll(path), '\n')) {
+    size_t mark = line.rfind(" !");
+    if (mark != std::string::npos && line.size() - mark - 2 < 16) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// tests/data/journals_unpadded was written by the queue and the artifact
+// store before they framed lines through storage::Log: their checksums
+// were printed unpadded (`std::hex`), and such files must still load.
+TEST(JournalCompatTest, UnpaddedChecksumJournalsStillLoad) {
+  const fs::path data =
+      fs::path(PAPYRUS_SOURCE_DIR) / "tests" / "data" / "journals_unpadded";
+  for (const char* file :
+       {"queue/queue.pjq", "queue/queue.pjc", "cas/cas.journal"}) {
+    ASSERT_TRUE(HasUnpaddedChecksum(data / file)) << file;
+  }
+  const std::string dir = FreshDir("journals_unpadded");
+  fs::copy(data, dir, fs::copy_options::recursive);
+
+  ManualClock clock(0);
+  auto queue =
+      server::PersistentQueue::Open((fs::path(dir) / "queue").string(),
+                                    &clock);
+  ASSERT_TRUE(queue.ok()) << queue.status().message();
+  EXPECT_EQ(clock.NowMicros(), 1000);  // the checkpoint's clock
+  EXPECT_EQ((*queue)->Tasks().size(), 12u);
+  EXPECT_EQ((*queue)->DoneCount(), 2);  // one checkpointed, one journaled
+  EXPECT_EQ((*queue)->FailedCount(), 1);
+  EXPECT_EQ((*queue)->recovered(), 1);  // the claim left open
+  EXPECT_EQ((*queue)->PendingCount(), 9);
+  auto failed = (*queue)->Get(2);
+  ASSERT_TRUE(failed.ok());
+  EXPECT_EQ(failed->failure, "tool exited 2");
+  auto reclaimed = (*queue)->Get(4);
+  ASSERT_TRUE(reclaimed.ok());
+  EXPECT_EQ(reclaimed->attempts, 2);
+  EXPECT_EQ(reclaimed->description, "task 4");
+  auto next = (*queue)->Enqueue("s11alpha", "task 13");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 13);
+
+  auto store = ContentStore::Open((fs::path(dir) / "cas").string());
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  EXPECT_EQ((*store)->stats().entries, 8);
+  for (int i : {1, 2, 8}) {
+    auto hit = (*store)->Fetch("s11key" + std::to_string(i));
+    ASSERT_TRUE(hit.ok()) << i << ": " << hit.status().message();
+    ASSERT_EQ(hit->outputs.size(), 1u);
+    EXPECT_EQ(hit->outputs[0].bytes, "bytes " + std::to_string(i));
+    EXPECT_EQ(hit->meta.seed_salt, 7u + i);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Session store: delta snapshots behind a manifest swap
 
 TEST(SessionStoreTest, SaveGenerationRewritesOnlyDirtySections) {
@@ -230,6 +424,54 @@ TEST(SessionStoreTest, SaveGenerationRewritesOnlyDirtySections) {
   }
   EXPECT_EQ(names, (std::set<std::string>{"CURRENT", "wal.log",
                                           "manifest.3", "a.g2"}));
+}
+
+// A directory the engine did not write is refused loudly, naming it,
+// and left exactly as found: opening it as empty would lose its history.
+TEST(SessionStoreTest, RefusesCurrentNamingAPreEngineSnapshotDirectory) {
+  std::string dir = FreshDir("legacy_snapdir");
+  fs::create_directories(fs::path(dir) / "snap.7");
+  WriteAll(fs::path(dir) / "snap.7" / "database.pdb", "papyrus-db 2\n");
+  WriteAll(fs::path(dir) / "CURRENT", "snap.7\n");
+
+  SessionStore store;
+  auto opened = store.Open(dir);
+  ASSERT_TRUE(opened.status().IsFailedPrecondition())
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find(dir), std::string::npos)
+      << opened.status().message();
+  EXPECT_FALSE(store.is_open());
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "snap.7" / "database.pdb"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "wal.log"));
+
+  // The session layer surfaces the same refusal.
+  Papyrus session;
+  EXPECT_TRUE(session.OpenStorage(dir).IsFailedPrecondition());
+}
+
+TEST(SessionStoreTest, RefusesAFlatDatabaseSnapshotWithoutCurrent) {
+  std::string dir = FreshDir("legacy_flat");
+  WriteAll(fs::path(dir) / "database.pdb", "papyrus-db 2\n");
+
+  SessionStore store;
+  auto opened = store.Open(dir);
+  ASSERT_TRUE(opened.status().IsFailedPrecondition())
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find(dir), std::string::npos)
+      << opened.status().message();
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "database.pdb"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "wal.log"));
+}
+
+TEST(SessionStoreTest, PruningLeavesForeignSnapshotDirectoriesAlone) {
+  std::string dir = FreshDir("prune_foreign");
+  SessionStore store;
+  ASSERT_TRUE(store.Open(dir).ok());
+  fs::create_directories(fs::path(dir) / "snap.3");
+  WriteAll(fs::path(dir) / "snap.3" / "database.pdb", "kept");
+  ASSERT_TRUE(store.SaveGeneration({{"s", "v1"}}, {"s"}).ok());
+  ASSERT_TRUE(store.SaveGeneration({{"s", "v2"}}, {"s"}).ok());
+  EXPECT_EQ(ReadAll(fs::path(dir) / "snap.3" / "database.pdb"), "kept");
 }
 
 TEST(SessionStoreTest, ReopenReplaysOnlyWalRecordsAboveTheManifestBase) {
